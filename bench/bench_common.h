@@ -2,8 +2,8 @@
 // construction at a CPU-friendly scale (overridable via FCM_SCALE,
 // FCM_EPOCHS and FCM_TRAIN_TABLES environment variables) and method training helpers.
 
-#ifndef FCM_BENCH_BENCH_COMMON_H_
-#define FCM_BENCH_BENCH_COMMON_H_
+#ifndef FCM_PAPER_BENCH_COMMON_H_
+#define FCM_PAPER_BENCH_COMMON_H_
 
 #include <memory>
 #include <string>
@@ -57,4 +57,4 @@ std::string NdcgCell(const eval::Aggregate& a);
 
 }  // namespace fcm::bench
 
-#endif  // FCM_BENCH_BENCH_COMMON_H_
+#endif  // FCM_PAPER_BENCH_COMMON_H_

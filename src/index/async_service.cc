@@ -57,9 +57,6 @@ struct AsyncSearchService::Request {
 struct AsyncSearchService::MicroBatch {
   std::vector<Request> requests;
   std::vector<SearchEngine::StagedQuery> staged;
-  /// Per-stage wall time, filled as the batch flows through the pipeline;
-  /// the score thread feeds the total back to the adaptive controller.
-  SearchEngine::StageTiming timing;
   /// Index generation pinned at dispatch; every stage of this batch runs
   /// against it, so concurrent Ingest/Compact publishes never change what
   /// an in-flight batch observes. Released (possibly retiring the epoch)
@@ -123,15 +120,6 @@ AsyncSearchService::AsyncSearchService(const SearchEngine* engine,
   FCM_CHECK(engine_ != nullptr);
   FCM_CHECK_GT(options_.queue_capacity, 0u);
   FCM_CHECK_GT(options_.max_batch_size, 0u);
-  if (options_.adaptive) {
-    AdaptiveBatchConfig config = options_.adaptive_config;
-    if (config.max_batch_size == 0) {
-      config.max_batch_size = options_.max_batch_size;
-      config.min_batch_size =
-          std::min(config.min_batch_size, config.max_batch_size);
-    }
-    controller_ = std::make_unique<AdaptiveBatchController>(config);
-  }
   encode_to_candidates_ = std::make_unique<StageChannel>();
   candidates_to_score_ = std::make_unique<StageChannel>();
   dispatch_thread_ = std::thread([this]() { DispatchLoop(); });
@@ -269,7 +257,7 @@ void AsyncSearchService::DispatchLoop() {
         retire = true;
       } else {
         // Shed requests that expired while queued before spending a
-        // controller decision or a pipeline pass on them.
+        // pipeline pass on them.
         const auto now = Clock::now();
         while (!queue_.empty() && queue_.front().deadline <= now) {
           Request request = std::move(queue_.front());
@@ -281,26 +269,16 @@ void AsyncSearchService::DispatchLoop() {
           // Everything queued had expired (or we woke for shutdown).
           retire = stopping_;
         } else {
-          // Coalesce: take the first request, then wait up to the batch
-          // delay for more, capped at the batch-size cap. The window is
-          // measured from the moment the batch starts forming, so a
-          // request's queueing latency is bounded by the delay knob (plus
-          // pipeline occupancy). Static mode uses the options' knobs;
-          // adaptive mode asks the controller, which samples the queue
-          // depth it is handed here and answers with this batch's window
-          // and size cap.
-          size_t batch_cap = options_.max_batch_size;
-          double delay_ms = options_.max_batch_delay_ms;
-          if (controller_ != nullptr) {
-            const BatchDecision decision =
-                controller_->OnBatchStart(Clock::now(), queue_.size());
-            batch_cap = decision.batch_size;
-            delay_ms = decision.delay_ms;
-          }
-          const auto window_end = Clock::now() + MsToDuration(delay_ms);
+          // Take the first request plus whatever else is queued, up to
+          // the batch-size cap; a nonzero max_batch_delay_ms also waits
+          // that long, measured from the moment the batch starts forming,
+          // for more. A request's queueing latency is therefore bounded by
+          // the delay knob plus pipeline occupancy.
+          const auto window_end =
+              Clock::now() + MsToDuration(options_.max_batch_delay_ms);
           batch->requests.push_back(std::move(queue_.front()));
           queue_.pop_front();
-          while (batch->requests.size() < batch_cap) {
+          while (batch->requests.size() < options_.max_batch_size) {
             if (queue_.empty()) {
               if (stopping_ ||
                   !cv_data_.WaitUntil(
@@ -339,7 +317,7 @@ void AsyncSearchService::DispatchLoop() {
     batch->epoch = engine_->PinEpoch();
     try {
       FCM_FAILPOINT("async.dispatch");
-      engine_->EncodeStage(&batch->staged, &batch->timing);
+      engine_->EncodeStage(&batch->staged);
     } catch (...) {
       RecoverBatch(batch.get());
       continue;
@@ -357,7 +335,7 @@ void AsyncSearchService::CandidateLoop() {
     ShedExpired(batch.get());
     if (batch->requests.empty()) continue;
     try {
-      engine_->CandidateStage(&batch->staged, &batch->timing, batch->epoch);
+      engine_->CandidateStage(&batch->staged, nullptr, batch->epoch);
     } catch (...) {
       RecoverBatch(batch.get());
       continue;
@@ -375,7 +353,7 @@ void AsyncSearchService::ScoreLoop() {
     if (batch->requests.empty()) continue;
     std::vector<std::vector<SearchHit>> results;
     try {
-      results = engine_->ScoreStage(batch->staged, nullptr, &batch->timing,
+      results = engine_->ScoreStage(batch->staged, nullptr, nullptr,
                                     batch->epoch);
     } catch (...) {
       RecoverBatch(batch.get());
@@ -388,10 +366,6 @@ void AsyncSearchService::ScoreLoop() {
       completed_ += batch->requests.size();
       for (size_t i = 0; i < batch->requests.size(); ++i) {
         NoteOutcomeLocked(/*ok=*/true);
-      }
-      if (controller_ != nullptr) {
-        // Feed the controller's service-time EWMA (latency clamp input).
-        controller_->OnBatchServed(batch->timing.total_seconds());
       }
     }
     for (size_t i = 0; i < batch->requests.size(); ++i) {
@@ -591,7 +565,6 @@ AsyncServiceStats AsyncSearchService::StatsLocked() const {
   out.ingest_batches = ingest_batches_;
   out.ingested_tables = ingested_tables_;
   out.compactions = compactions_;
-  if (controller_ != nullptr) out.controller = controller_->counters();
   return out;
 }
 
@@ -612,13 +585,6 @@ HealthSnapshot AsyncSearchService::Health() const {
           MsToDuration(options_.breaker_cooldown_ms);
   out.stats = StatsLocked();
   return out;
-}
-
-std::vector<AdaptiveBatchController::TraceEntry>
-AsyncSearchService::controller_trace() const {
-  common::MutexLock lk(&mu_);
-  if (controller_ == nullptr) return {};
-  return controller_->trace();
 }
 
 }  // namespace fcm::index

@@ -1,12 +1,12 @@
 // Futures-based async serving front-end for SearchEngine (the ROADMAP's
 // async-serving item): Submit() enqueues a request into a bounded queue
 // with configurable backpressure and immediately returns a
-// std::future<std::vector<SearchHit>>. A dispatcher coalesces queued
-// requests into micro-batches under a max-size / max-delay policy and runs
-// the engine's three serving stages — chart encoding, LSH candidate
-// generation, candidate scoring + ranking — as overlapping pipeline stages
-// on dedicated threads, each fanning its heavy work out on the engine's
-// shared ThreadPool. Encoding of micro-batch N+1 therefore runs while
+// std::future<std::vector<SearchHit>>. A dispatcher takes whatever is
+// queued, up to a size cap, as one micro-batch and runs the engine's three
+// serving stages — chart encoding, LSH candidate generation, candidate
+// scoring + ranking — as overlapping pipeline stages on dedicated
+// threads, each fanning its heavy work out on the engine's shared
+// ThreadPool. Encoding of micro-batch N+1 therefore runs while
 // micro-batch N is still scoring, which is what turns the synchronous
 // batch API into a latency-bounded service.
 //
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "common/annotated_mutex.h"
-#include "index/batch_controller.h"
 #include "index/search_engine.h"
 #include "vision/extracted_chart.h"
 
@@ -78,21 +77,12 @@ struct AsyncServiceOptions {
   /// than this into one pipeline pass.
   size_t max_batch_size = 16;
   /// How long the dispatcher waits for more requests after the first one
-  /// of a forming micro-batch arrives. 0 dispatches immediately. Ignored
-  /// when `adaptive` is on — the controller issues the window per batch.
-  double max_batch_delay_ms = 1.0;
-  /// Adaptive micro-batching: a queue-depth-driven controller
-  /// (index/batch_controller.h) grows the coalesce window and batch-size
-  /// cap multiplicatively under sustained backlog and collapses both
-  /// toward immediate dispatch when the queue runs dry, replacing the
-  /// static max_batch_size / max_batch_delay_ms trade-off. Results stay
-  /// bit-identical to SearchEngine::Search in every mode — the controller
+  /// of a forming micro-batch arrives. 0 (the default) ships what is
+  /// queued, up to max_batch_size, without waiting: at open-loop rates
+  /// below saturation batches hold one request, so any window is pure
+  /// added latency (docs/SERVING.md "Measured numbers"). A nonzero window
   /// only changes when batches cut, never what a request returns.
-  bool adaptive = false;
-  /// Controller tuning when `adaptive` is on: min/max window,
-  /// growth/decay factors, depth thresholds (see AdaptiveBatchConfig).
-  /// adaptive_config.max_batch_size == 0 inherits max_batch_size above.
-  AdaptiveBatchConfig adaptive_config;
+  double max_batch_delay_ms = 0.0;
   /// Circuit breaker: this many *consecutive* request failures (engine
   /// stage errors after blast-radius isolation; deadline expiries and
   /// cancellations never count) open the breaker, flipping the service
@@ -157,10 +147,6 @@ struct AsyncServiceStats {
   uint64_t ingest_batches = 0;   ///< Successful Ingest calls.
   uint64_t ingested_tables = 0;  ///< Tables appended across them.
   uint64_t compactions = 0;      ///< Successful Compact calls.
-  /// Adaptive-controller counters (zero when options.adaptive is off).
-  /// controller.decisions == batches: the controller decides once per
-  /// dispatched micro-batch.
-  AdaptiveBatchController::Counters controller;
 };
 
 /// Circuit-breaker position. Closed admits everything; Open fast-rejects
@@ -255,13 +241,6 @@ class AsyncSearchService {
   /// Breaker state + counters; see HealthSnapshot.
   HealthSnapshot Health() const;
 
-  /// Oldest-first copy of the adaptive controller's bounded decision
-  /// trace (empty when options.adaptive is off). Each entry records the
-  /// queue depth the dispatcher sampled and the window / size cap the
-  /// controller answered with — the bench serializes this into the BENCH
-  /// json's async section.
-  std::vector<AdaptiveBatchController::TraceEntry> controller_trace() const;
-
  private:
   struct Request;
   struct MicroBatch;
@@ -271,7 +250,7 @@ class AsyncSearchService {
   /// behind, so admission control propagates back to the request queue.
   class StageChannel;
 
-  void DispatchLoop();   // Coalesce + stage 1 (encode).
+  void DispatchLoop();   // Form micro-batches + stage 1 (encode).
   void CandidateLoop();  // Stage 2 (LSH probes + merge).
   void ScoreLoop();      // Stage 3 (score + rank) and fulfillment.
 
@@ -347,15 +326,6 @@ class AsyncSearchService {
   uint64_t breaker_trips_ FCM_GUARDED_BY(mu_) = 0;
   std::chrono::steady_clock::time_point breaker_opened_at_
       FCM_GUARDED_BY(mu_){};
-
-  /// Adaptive micro-batching controller; null when options_.adaptive is
-  /// off. The under-lock contract (batch_controller.h "Thread safety:
-  /// none") is compile-enforced here: both the pointer and the pointee
-  /// are guarded by mu_ — the dispatcher consults it holding the queue
-  /// lock and the score thread reports batch service time under the same
-  /// lock, so the controller itself needs no synchronization.
-  std::unique_ptr<AdaptiveBatchController> controller_ FCM_GUARDED_BY(mu_)
-      FCM_PT_GUARDED_BY(mu_);
 
   std::unique_ptr<StageChannel> encode_to_candidates_;
   std::unique_ptr<StageChannel> candidates_to_score_;

@@ -11,9 +11,9 @@
 // Section layout (names are the contract; the "meta" and "enc.index"
 // streams use common::BinaryWriter framing):
 //   meta            engine + model + LSH configuration, table count;
-//                   ends with an appended engine-meta v2 block (precision,
-//                   mean_prefilter) — absent in pre-quantization
-//                   snapshots, which still open with f32 defaults
+//                   ends with the engine-meta v2 block (version,
+//                   precision, mean_prefilter), which every snapshot
+//                   must carry
 //   model.state     FcmModel parameters (nn::Module::SaveState)
 //   means.f32       mean-embedding block, num_means x embed_dim
 //                   (kFloat32 engines only)
@@ -46,10 +46,11 @@ constexpr const char* kMeansSection = "means.f32";
 constexpr const char* kMeansQSection = "means.i8";
 constexpr const char* kMeansScaleSection = "means.scale.f32";
 
-/// Version of the engine-meta block appended to the meta stream. v1
-/// (pre-quantization) snapshots end right after the LSH item count; v2
-/// appends {version, precision, mean_prefilter}.
+/// Version of the engine-meta block that ends the meta stream:
+/// {version, precision, mean_prefilter}. Streams without it (v1, from
+/// before the quantized tier) are rejected.
 constexpr uint32_t kEngineMetaVersion = 2;
+constexpr size_t kEngineMetaBytes = 3 * sizeof(uint32_t);
 
 common::Status Bad(const std::string& what) {
   return common::Status::InvalidArgument("engine snapshot: " + what);
@@ -233,8 +234,7 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
   meta.WriteU64(options_.lsh.seed);
   meta.WriteU32(static_cast<uint32_t>(segment.lsh->num_shards()));
   meta.WriteU64(segment.lsh->num_items());
-  // Engine-meta v2 block, appended so pre-quantization readers of the
-  // prefix layout stay compatible (and v1 snapshots open with defaults).
+  // Engine-meta v2 block.
   meta.WriteU32(kEngineMetaVersion);
   meta.WriteU32(static_cast<uint32_t>(options_.precision));
   meta.WriteU32(static_cast<uint32_t>(options_.mean_prefilter));
@@ -343,21 +343,19 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   if (config.embed_dim <= 0 || config.embed_dim > (1 << 20)) {
     return Bad("implausible embed_dim");
   }
-  // Engine-meta v2 block. A pre-quantization (v1) snapshot's meta stream
-  // ends here; it opens as an f32 engine with no prefilter.
-  uint32_t precision = 0, mean_prefilter = 0;
-  if (meta.remaining() != 0) {
-    uint32_t engine_meta_version = 0;
-    FCM_RETURN_IF_ERROR(rd_u32(&engine_meta_version));
-    if (engine_meta_version != kEngineMetaVersion) {
-      return Bad("unsupported engine meta version " +
-                 std::to_string(engine_meta_version));
-    }
-    FCM_RETURN_IF_ERROR(rd_u32(&precision));
-    FCM_RETURN_IF_ERROR(rd_u32(&mean_prefilter));
-    if (precision > 1) return Bad("unknown embedding precision");
-    if (meta.remaining() != 0) return Bad("trailing engine meta bytes");
+  // Engine-meta v2 block.
+  if (meta.remaining() != kEngineMetaBytes) {
+    return Bad("engine meta block missing or malformed");
   }
+  uint32_t engine_meta_version = 0, precision = 0, mean_prefilter = 0;
+  FCM_RETURN_IF_ERROR(rd_u32(&engine_meta_version));
+  if (engine_meta_version != kEngineMetaVersion) {
+    return Bad("unsupported engine meta version " +
+               std::to_string(engine_meta_version));
+  }
+  FCM_RETURN_IF_ERROR(rd_u32(&precision));
+  FCM_RETURN_IF_ERROR(rd_u32(&mean_prefilter));
+  if (precision > 1) return Bad("unknown embedding precision");
 
   // Model, reconstructed from config + saved parameters (shape- and
   // name-validated by Module::LoadState).

@@ -316,19 +316,13 @@ class SearchEngine {
   // passes the same pin to each so the request sees one consistent index
   // generation end to end.
 
-  /// Wall seconds one batch spent inside each serving stage. Serving
-  /// telemetry: AsyncSearchService feeds the per-batch total to its
-  /// adaptive micro-batching controller (see index/batch_controller.h),
-  /// and the tuning guide in docs/SERVING.md reads these to attribute
-  /// latency to a stage. Purely observational — timing never changes
-  /// what a stage computes.
+  /// Wall seconds one batch spent inside each serving stage, filled for
+  /// callers that pass one to a stage to attribute latency to it. Purely
+  /// observational — timing never changes what a stage computes.
   struct StageTiming {
     double encode_seconds = 0.0;
     double candidate_seconds = 0.0;
     double score_seconds = 0.0;
-    double total_seconds() const {
-      return encode_seconds + candidate_seconds + score_seconds;
-    }
   };
 
   /// One request's stage state. `query` must outlive the stage calls.

@@ -139,6 +139,7 @@ TEST_F(AsyncSearchServiceTest, MatchesSearchAcrossCoalescingPatterns) {
     EXPECT_EQ(stats.cancelled, 0u);
     EXPECT_EQ(stats.failed, 0u);
     EXPECT_GE(stats.batches, 1u);
+    EXPECT_LE(stats.max_coalesced, options.max_batch_size);
   }
 }
 

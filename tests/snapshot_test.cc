@@ -1,12 +1,14 @@
 // Tests for the frozen-engine snapshot lifecycle (SaveSnapshot /
 // OpenSnapshot): a snapshot-served engine must rank bit-identically to
 // the freshly built engine under Search, SearchBatch, and async
-// coalescing, over both mmap and heap backings — and any corruption of
-// the snapshot must fail the open with a Status error.
+// coalescing, over both mmap and heap backings; opening it must beat
+// rebuilding the engine; and any corruption of the snapshot must fail
+// the open with a Status error.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -179,6 +181,27 @@ TEST_F(EngineSnapshotTest, AsyncCoalescingIdentical) {
     ExpectSameHits(futures[i].get(), expected[i]);
   }
   service.Shutdown();
+}
+
+TEST_F(EngineSnapshotTest, OpenIsFasterThanRebuild) {
+  // The point of persisting the frozen engine: a serving process that
+  // opens the snapshot skips re-encoding the lake.
+  using Clock = std::chrono::steady_clock;
+  SearchEngine rebuilt(model_.get(), &lake_);
+  const auto t_build = Clock::now();
+  rebuilt.BuildWithOptions(SearchEngineOptions{});
+  const auto build_time = Clock::now() - t_build;
+  const std::string path = TempPath("rebuilt.fcmsnap");
+  ASSERT_TRUE(rebuilt.SaveSnapshot(path).ok());
+  const auto t_open = Clock::now();
+  auto opened = SearchEngine::OpenSnapshot(path);
+  const auto open_time = Clock::now() - t_open;
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_LT(open_time, build_time)
+      << "open " << std::chrono::duration<double>(open_time).count()
+      << " s vs build " << std::chrono::duration<double>(build_time).count()
+      << " s";
+  std::remove(path.c_str());
 }
 
 TEST_F(EngineSnapshotTest, XDerivationEngineRoundtrips) {

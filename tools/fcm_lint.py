@@ -13,8 +13,9 @@ Rules (all scoped to src/):
   wall-clock       No rand()/std::random_device/time()/system_clock/
                    gettimeofday outside src/common/rng.* — randomness
                    flows through seeded common::Rng and time through
-                   injected clocks (batch_controller takes `now`;
-                   steady_clock is monotonic and allowed).
+                   injected time points (AsyncSearchService::Submit takes
+                   an absolute deadline; steady_clock is monotonic and
+                   allowed).
   float-order      A sort comparator over a float score field in
                    src/index or src/relevance must carry the documented
                    tie-break pattern (`a.x != b.x ? a.x > b.x : a.id <
