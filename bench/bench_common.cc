@@ -46,12 +46,6 @@ benchgen::Benchmark BuildBench(const BenchScale& scale, double da_fraction) {
   return benchgen::BuildBenchmark(config, extractor);
 }
 
-core::FcmConfig DefaultModelConfig(const BenchScale& scale) {
-  core::FcmConfig config;
-  config.epochs = scale.epochs;
-  return config;
-}
-
 core::TrainOptions DefaultTrainOptions(const BenchScale& scale) {
   core::TrainOptions options;
   options.epochs = scale.epochs;

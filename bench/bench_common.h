@@ -41,9 +41,6 @@ BenchScale ReadScale();
 benchgen::Benchmark BuildBench(const BenchScale& scale,
                                double da_fraction = 0.5);
 
-/// Model configuration used by all benches (paper Sec. VII-B, scaled).
-core::FcmConfig DefaultModelConfig(const BenchScale& scale);
-
 /// Training options matching the scale.
 core::TrainOptions DefaultTrainOptions(const BenchScale& scale);
 

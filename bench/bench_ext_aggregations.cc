@@ -67,7 +67,7 @@ int Run() {
   std::printf("%zu nested-aggregation + %zu multi-aggregation queries\n",
               nested.size(), multi.size());
 
-  core::FcmConfig full_config = bench::DefaultModelConfig(scale);
+  core::FcmConfig full_config;
   core::FcmConfig ablated_config = full_config;
   ablated_config.use_da_layers = false;
   const core::TrainOptions train_options = bench::DefaultTrainOptions(scale);

@@ -49,7 +49,7 @@ int Run() {
 
   std::printf("fitting FCM ...\n");
   std::fflush(stdout);
-  baselines::FcmMethod fcm(bench::DefaultModelConfig(scale),
+  baselines::FcmMethod fcm(core::FcmConfig(),
                            bench::DefaultTrainOptions(scale));
   fcm.Fit(b.lake, b.training);
   const core::FcmModel& model = *fcm.model();

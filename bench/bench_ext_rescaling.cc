@@ -80,7 +80,7 @@ int Run() {
 
   std::printf("fitting FCM ...\n");
   std::fflush(stdout);
-  baselines::FcmMethod fcm(bench::DefaultModelConfig(scale),
+  baselines::FcmMethod fcm(core::FcmConfig(),
                            bench::DefaultTrainOptions(scale));
   fcm.Fit(b.lake, b.training);
 

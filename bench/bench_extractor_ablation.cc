@@ -1,8 +1,8 @@
 // Extra ablation (not a paper table; validates the Mask R-CNN
-// substitution documented in DESIGN.md): extraction fidelity of the mask
-// oracle, classical, and learned extractors on freshly rendered charts —
-// line-count accuracy, per-value MAE relative to the y range, and
-// y-range recovery error.
+// substitution documented in docs/REPRODUCTION.md): extraction fidelity
+// of the mask oracle, classical, and learned extractors on freshly
+// rendered charts — line-count accuracy, per-value MAE relative to the y
+// range, and y-range recovery error.
 
 #include <cmath>
 #include <cstdio>
@@ -78,7 +78,8 @@ int Run() {
   const bench::BenchScale scale = bench::ReadScale();
   bench::PrintHeader(
       "Extractor ablation: mask oracle vs classical vs learned (LCSeg)",
-      "validates DESIGN.md's Mask R-CNN substitution (paper Sec. IV-A)",
+      "validates the Mask R-CNN substitution in docs/REPRODUCTION.md "
+      "(paper Sec. IV-A)",
       scale);
 
   // Train the learned pixel classifier on LineChartSeg examples.

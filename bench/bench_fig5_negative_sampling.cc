@@ -30,7 +30,7 @@ int Run() {
   eval::ReportTable table(header);
 
   for (const auto strategy : strategies) {
-    core::FcmConfig config = bench::DefaultModelConfig(scale);
+    core::FcmConfig config;
     core::FcmModel model(config);
     baselines::FcmMethod probe(&model);  // Wraps without retraining.
 

@@ -363,12 +363,14 @@ void BM_LshCodeDispatch(benchmark::State& state) {
   common::Rng rng(110);
   index::LshConfig config;
   const int dim = static_cast<int>(state.range(0));
-  index::RandomHyperplaneLsh lsh(dim, config);
+  common::ThreadPool pool(1);
+  const index::RandomHyperplaneLsh lsh(dim, config, {}, &pool);
   std::vector<float> v(static_cast<size_t>(dim));
   for (auto& x : v) x = static_cast<float>(rng.Normal());
-  int64_t payload = 0;
   for (auto _ : state) {
-    lsh.Insert(v, payload++);
+    for (int t = 0; t < config.num_tables; ++t) {
+      benchmark::DoNotOptimize(lsh.Code(v, t));
+    }
   }
   SetGflops(state, 2.0 * static_cast<double>(dim) * config.num_bits *
                        config.num_tables);
@@ -379,13 +381,14 @@ BENCHMARK(BM_LshCodeDispatch)
 
 void BM_LshQuery(benchmark::State& state) {
   common::Rng rng(9);
-  index::LshConfig config;
-  index::RandomHyperplaneLsh lsh(32, config);
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    std::vector<float> v(32);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    lsh.Insert(v, i);
+  std::vector<float> rows(static_cast<size_t>(state.range(0)) * 32);
+  for (auto& x : rows) x = static_cast<float>(rng.Normal());
+  std::vector<index::LshItem> items;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    items.push_back({rows.data() + i * 32, i});
   }
+  common::ThreadPool pool(1);
+  const index::RandomHyperplaneLsh lsh(32, index::LshConfig(), items, &pool);
   std::vector<float> q(32);
   for (auto& x : q) x = static_cast<float>(rng.Normal());
   for (auto _ : state) {

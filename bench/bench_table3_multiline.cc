@@ -16,7 +16,7 @@ int Run() {
                      "paper Sec. VII-C, Table III", scale);
   const benchgen::Benchmark b = bench::BuildBench(scale);
 
-  const core::FcmConfig model_config = bench::DefaultModelConfig(scale);
+  const core::FcmConfig model_config{};
   const core::TrainOptions train_options =
       bench::DefaultTrainOptions(scale);
 

@@ -22,7 +22,7 @@ int Run() {
   const benchgen::Benchmark b =
       bench::BuildBench(scale, /*da_fraction=*/1.0);
 
-  baselines::FcmMethod fcm(bench::DefaultModelConfig(scale),
+  baselines::FcmMethod fcm(core::FcmConfig(),
                            bench::DefaultTrainOptions(scale));
   std::printf("fitting FCM ...\n");
   std::fflush(stdout);

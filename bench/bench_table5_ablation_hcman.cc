@@ -16,7 +16,7 @@ int Run() {
                      "paper Sec. VII-D1, Table V", scale);
   const benchgen::Benchmark b = bench::BuildBench(scale);
 
-  core::FcmConfig full_config = bench::DefaultModelConfig(scale);
+  core::FcmConfig full_config;
   core::FcmConfig ablated_config = full_config;
   ablated_config.use_hcman = false;
   const core::TrainOptions train_options =

@@ -15,7 +15,7 @@ int Run() {
                      "paper Sec. VII-D2, Table VI", scale);
   const benchgen::Benchmark b = bench::BuildBench(scale);
 
-  core::FcmConfig full_config = bench::DefaultModelConfig(scale);
+  core::FcmConfig full_config;
   core::FcmConfig ablated_config = full_config;
   ablated_config.use_da_layers = false;
   const core::TrainOptions train_options =

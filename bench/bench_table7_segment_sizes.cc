@@ -32,7 +32,7 @@ int Run() {
   for (int p1 : p1_values) {
     std::vector<std::string> row = {std::to_string(p1)};
     for (int p2 : p2_values) {
-      core::FcmConfig config = bench::DefaultModelConfig(scale);
+      core::FcmConfig config;
       config.line_segment_width = p1;
       config.data_segment_size = p2;
       // beta must keep sub-segments at least 2 elements wide.

@@ -18,14 +18,14 @@ int Run() {
                      "paper Sec. VII-F, Table VIII", scale);
   const benchgen::Benchmark b = bench::BuildBench(scale);
 
-  core::FcmModel model(bench::DefaultModelConfig(scale));
+  core::FcmModel model{core::FcmConfig()};
   std::printf("training FCM ...\n");
   std::fflush(stdout);
   core::TrainFcm(&model, b.lake, b.training,
                  bench::DefaultTrainOptions(scale));
 
   index::SearchEngine engine(&model, &b.lake);
-  engine.Build();
+  engine.BuildWithOptions({});
 
   const std::vector<index::IndexStrategy> strategies = {
       index::IndexStrategy::kNoIndex, index::IndexStrategy::kIntervalTree,

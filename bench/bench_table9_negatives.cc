@@ -19,7 +19,7 @@ int Run() {
 
   eval::ReportTable table({"N^-", "prec@k", "ndcg@k"});
   for (const int n_neg : {1, 2, 3, 4, 6, 8}) {
-    core::FcmConfig config = bench::DefaultModelConfig(scale);
+    core::FcmConfig config;
     core::TrainOptions train_options = bench::DefaultTrainOptions(scale);
     // 8 models: halve the pretraining budget per model.
     train_options.pretrain_pairs = 128;

@@ -51,7 +51,7 @@ int main() {
       bench.lake.Add(std::move(t));
     }
     index::SearchEngine engine(&model, &bench.lake);
-    engine.Build();
+    engine.BuildWithOptions({});
 
     double linear_ms = 0.0;
     for (const auto strategy : {index::IndexStrategy::kNoIndex,

@@ -36,7 +36,7 @@ int main() {
 
   std::printf("indexing %zu candidate datasets ...\n", bench.lake.size());
   index::SearchEngine engine(&model, &bench.lake);
-  engine.Build();
+  engine.BuildWithOptions({});
 
   // The "viral chart": a query whose source table hides in the lake.
   const benchgen::QueryRecord& viral = bench.queries.front();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 
-#include "common/check.h"
 #include "common/failpoint.h"
 
 namespace fcm::common {
@@ -115,24 +114,6 @@ void ThreadPool::RunBatch(const std::shared_ptr<Batch>& batch) {
     batch->active.fetch_sub(1, std::memory_order_relaxed);
   }
   batch->cv.NotifyAll();
-}
-
-void ThreadPool::ParallelForSharded(
-    size_t n, size_t num_shards, const std::function<size_t(size_t)>& shard_of,
-    const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  FCM_CHECK_GT(num_shards, 0);  // Zero shards would silently drop the work.
-  // Deterministic routing pass: per-shard index lists in increasing order,
-  // independent of the pool size.
-  std::vector<std::vector<size_t>> routed(num_shards);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t s = shard_of(i);
-    FCM_CHECK_LT(s, num_shards);
-    routed[s].push_back(i);
-  }
-  ParallelFor(num_shards, [&](size_t s) {
-    for (size_t i : routed[s]) fn(s, i);
-  });
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {

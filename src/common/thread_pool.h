@@ -5,13 +5,13 @@
 // fan out per-table encoding and candidate scoring, and by the async
 // serving pipeline whose stage threads dispatch onto one shared pool.
 //
-// Concurrency contract: ParallelFor / ParallelForSharded may be called
-// concurrently from any number of owner threads, and re-entrantly from
-// inside a worker iteration. Every owner participates in its own batch, so
-// an owner always makes progress even when all workers are busy elsewhere;
-// idle workers spread across the in-flight batches (least-helped first)
-// instead of queuing behind the oldest one, which is what lets pipeline
-// stages overlap instead of serializing.
+// Concurrency contract: ParallelFor may be called concurrently from any
+// number of owner threads, and re-entrantly from inside a worker
+// iteration. Every owner participates in its own batch, so an owner always
+// makes progress even when all workers are busy elsewhere; idle workers
+// spread across the in-flight batches (least-helped first) instead of
+// queuing behind the oldest one, which is what lets pipeline stages
+// overlap instead of serializing.
 
 #ifndef FCM_COMMON_THREAD_POOL_H_
 #define FCM_COMMON_THREAD_POOL_H_
@@ -58,19 +58,6 @@ class ThreadPool {
     ParallelFor(n, [&](size_t i) { out[i] = fn(i); });
     return out;
   }
-
-  /// ParallelFor with per-shard state: every index in [0, n) is routed to
-  /// shard `shard_of(i)` (a value in [0, num_shards)), then fn(shard, i)
-  /// runs for each index with all of one shard's indices visited in
-  /// increasing order by a single worker at a time. fn may therefore
-  /// mutate shard-local state without locks, and whatever state it builds
-  /// is identical to the serial loop `for i: fn(shard_of(i), i)` — the
-  /// schedule only decides which worker owns which shard. Routing runs
-  /// serially on the caller, so keep shard_of cheap (e.g. a lookup of
-  /// precomputed codes).
-  void ParallelForSharded(size_t n, size_t num_shards,
-                          const std::function<size_t(size_t)>& shard_of,
-                          const std::function<void(size_t, size_t)>& fn);
 
  private:
   struct Batch;  // One ParallelFor invocation in flight.

@@ -10,7 +10,7 @@
 
 namespace fcm::core {
 
-/// Hyper-parameters of the FCM architecture and trainer.
+/// Hyper-parameters of the FCM architecture.
 struct FcmConfig {
   // ---- Shared transformer dimensions ----
   int embed_dim = 32;       // K (paper: 768).
@@ -36,15 +36,10 @@ struct FcmConfig {
   bool use_hcman = true;    // false = FCM-HCMAN ablation (mean pooling).
   int matcher_hidden = 32;
   /// Points per segment in the deterministic shape descriptors that
-  /// bridge the two modalities (see DESIGN.md Sec. 2.1).
+  /// bridge the two modalities (see docs/REPRODUCTION.md).
   int descriptor_size = 8;
 
-  // ---- Training (Sec. IV-E / VII-B) ----
-  float learning_rate = 1e-3f;  // (paper: 1e-6 at full scale).
-  int epochs = 30;              // (paper: 60).
-  int batch_size = 8;
-  int num_negatives = 3;        // N^- (paper default: 3).
-  uint64_t seed = 42;
+  uint64_t seed = 42;  // Initialisation; training reads TrainOptions.
 
   int NumLineSegments() const { return strip_width / line_segment_width; }
   int NumDataSegments() const { return column_length / data_segment_size; }

@@ -19,7 +19,7 @@ namespace fcm::core {
 /// line's ink center-of-mass curve resampled to `descriptor_size` points
 /// per segment (row-major [N1 x S]). The descriptor is a fixed function
 /// of the pixels; it gives the matcher a modality-bridging shape signal
-/// that needs no gradient steps (see DESIGN.md Sec. 2.1).
+/// that needs no gradient steps (see docs/REPRODUCTION.md).
 struct LineEncoding {
   nn::Tensor representation;        // [N1, K], learned.
   std::vector<float> descriptor;    // [N1 * S], deterministic, in [0, 1].

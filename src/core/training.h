@@ -40,7 +40,7 @@ const char* NegativeStrategyName(NegativeStrategy s);
 ///    enough to erase the ranking signal prec@k measures, while the
 ///    pairwise form optimizes exactly the ordering Def. 2's
 ///    |Rel'(V,T) - Rel(D,T)| objective induces. At the paper's data scale
-///    the two coincide in ranking terms (see DESIGN.md Sec. 2.1).
+///    the two coincide in ranking terms (see docs/REPRODUCTION.md).
 enum class LossType { kBinaryCrossEntropy, kPairwiseRanking };
 
 const char* LossTypeName(LossType t);
@@ -80,7 +80,7 @@ struct TrainOptions {
   /// stops and the best-validation parameters are restored. At this
   /// reproduction's scale (10^2 triplets vs. the paper's ~6000) the model
   /// otherwise overfits within a few epochs and the learned ranking decays
-  /// (see DESIGN.md Sec. 2.1).
+  /// (see docs/REPRODUCTION.md).
   double validation_fraction = 0.25;
   int early_stop_patience = 2;
   /// Epochs always run before early stopping may trigger.

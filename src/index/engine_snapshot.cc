@@ -10,10 +10,10 @@
 //
 // Section layout (names are the contract; the "meta" and "enc.index"
 // streams use common::BinaryWriter framing):
-//   meta            engine + model + LSH configuration, table count;
-//                   ends with the engine-meta v2 block (version,
-//                   precision, mean_prefilter), which every snapshot
-//                   must carry
+//   meta            engine-meta version (first field, checked before
+//                   anything else is parsed), table count, model + LSH
+//                   configuration, precision, mean_prefilter; must be
+//                   consumed exactly
 //   model.state     FcmModel parameters (nn::Module::SaveState)
 //   means.f32       mean-embedding block, num_means x embed_dim
 //                   (kFloat32 engines only)
@@ -22,6 +22,8 @@
 //   means.scale.f32 per-row quantization scales, num_means (kInt8 only)
 //   lsh.planes.f32  hyperplane block
 //   lsh.gbegin.u64 / lsh.codes.u64 / lsh.pbegin.u64 / lsh.pay.i64
+//                   CSR buckets; gbegin holds num_tables + 1 offsets
+//                   into codes, one code range per hash table
 //   it.center.f64 / it.left.i32 / it.right.i32 / it.begin.u64 /
 //   it.count.u64 / it.lo.{lo,hi}.f64 / it.lo.pay.i64 /
 //   it.hi.{lo,hi}.f64 / it.hi.pay.i64
@@ -30,6 +32,7 @@
 //                   in canonical order (table id asc, columns, then
 //                   derivations), checked for exact consumption
 
+#include <cstring>
 #include <utility>
 
 #include "common/serialize.h"
@@ -46,11 +49,12 @@ constexpr const char* kMeansSection = "means.f32";
 constexpr const char* kMeansQSection = "means.i8";
 constexpr const char* kMeansScaleSection = "means.scale.f32";
 
-/// Version of the engine-meta block that ends the meta stream:
-/// {version, precision, mean_prefilter}. Streams without it (v1, from
-/// before the quantized tier) are rejected.
-constexpr uint32_t kEngineMetaVersion = 2;
-constexpr size_t kEngineMetaBytes = 3 * sizeof(uint32_t);
+/// Version of the meta stream, written as its first field. v2 streams
+/// began with the u64 table count and ended with a {version, precision,
+/// mean_prefilter} block, so their version sits kV2TrailerBytes from the
+/// end; v1 streams carried no version at all.
+constexpr uint32_t kEngineMetaVersion = 3;
+constexpr size_t kV2TrailerBytes = 3 * sizeof(uint32_t);
 
 common::Status Bad(const std::string& what) {
   return common::Status::InvalidArgument("engine snapshot: " + what);
@@ -72,10 +76,6 @@ void WriteConfig(common::BinaryWriter* w, const core::FcmConfig& c) {
   w->WriteU32(c.use_hcman ? 1 : 0);
   w->WriteU32(static_cast<uint32_t>(c.matcher_hidden));
   w->WriteU32(static_cast<uint32_t>(c.descriptor_size));
-  w->WriteF32(c.learning_rate);
-  w->WriteU32(static_cast<uint32_t>(c.epochs));
-  w->WriteU32(static_cast<uint32_t>(c.batch_size));
-  w->WriteU32(static_cast<uint32_t>(c.num_negatives));
   w->WriteU64(c.seed);
 }
 
@@ -107,12 +107,6 @@ common::Status ReadConfig(common::BinaryReader* r, core::FcmConfig* c) {
   FCM_RETURN_IF_ERROR(b32(&c->use_hcman));
   FCM_RETURN_IF_ERROR(u32(&c->matcher_hidden));
   FCM_RETURN_IF_ERROR(u32(&c->descriptor_size));
-  auto lr = r->ReadF32();
-  if (!lr.ok()) return lr.status();
-  c->learning_rate = lr.value();
-  FCM_RETURN_IF_ERROR(u32(&c->epochs));
-  FCM_RETURN_IF_ERROR(u32(&c->batch_size));
-  FCM_RETURN_IF_ERROR(u32(&c->num_negatives));
   auto seed = r->ReadU64();
   if (!seed.ok()) return seed.status();
   c->seed = seed.value();
@@ -219,11 +213,11 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
         " segments; call Compact() before SaveSnapshot");
   }
   const IndexSegment& segment = *pin->segments_.front();
-  FCM_CHECK(segment.lsh->frozen());
   storage::SnapshotWriter writer;
 
   // meta.
   common::BinaryWriter meta;
+  meta.WriteU32(kEngineMetaVersion);
   meta.WriteU64(segment.entries.size());
   WriteConfig(&meta, model_->config());
   meta.WriteU32(options_.index_x_derivations ? 1 : 0);
@@ -232,10 +226,7 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
   meta.WriteU32(static_cast<uint32_t>(options_.lsh.num_tables));
   meta.WriteU32(options_.lsh.probe_hamming1 ? 1 : 0);
   meta.WriteU64(options_.lsh.seed);
-  meta.WriteU32(static_cast<uint32_t>(segment.lsh->num_shards()));
   meta.WriteU64(segment.lsh->num_items());
-  // Engine-meta v2 block.
-  meta.WriteU32(kEngineMetaVersion);
   meta.WriteU32(static_cast<uint32_t>(options_.precision));
   meta.WriteU32(static_cast<uint32_t>(options_.mean_prefilter));
   writer.AddSection(kMetaSection, meta.buffer().data(), meta.buffer().size());
@@ -257,9 +248,9 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
   }
 
   // Frozen LSH.
-  const auto& lf = segment.lsh->frozen_view();
+  const auto& lf = segment.lsh->frozen();
   writer.AddTypedSection("lsh.planes.f32", lf.hyperplanes);
-  writer.AddTypedSection("lsh.gbegin.u64", lf.group_begin);
+  writer.AddTypedSection("lsh.gbegin.u64", lf.table_begin);
   writer.AddTypedSection("lsh.codes.u64", lf.codes);
   writer.AddTypedSection("lsh.pbegin.u64", lf.payload_begin);
   writer.AddTypedSection("lsh.pay.i64", lf.payloads);
@@ -317,19 +308,31 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   // meta.
   auto meta_raw = reader->Section(kMetaSection);
   if (!meta_raw.ok()) return meta_raw.status();
-  common::BinaryReader meta(meta_raw.value().ToVector());
-  auto num_tables = meta.ReadU64();
-  if (!num_tables.ok()) return num_tables.status();
-  core::FcmConfig config;
-  FCM_RETURN_IF_ERROR(ReadConfig(&meta, &config));
+  const storage::Span<uint8_t> meta_bytes = meta_raw.value();
+  common::BinaryReader meta(meta_bytes.ToVector());
   auto rd_u32 = [&meta](uint32_t* out) -> common::Status {
     auto v = meta.ReadU32();
     if (!v.ok()) return v.status();
     *out = v.value();
     return common::Status::OK();
   };
+  uint32_t version = 0;
+  FCM_RETURN_IF_ERROR(rd_u32(&version));
+  if (version != kEngineMetaVersion) {
+    uint32_t trailer = 0;
+    const size_t n = meta_bytes.size();
+    if (n >= kV2TrailerBytes) {
+      std::memcpy(&trailer, meta_bytes.data() + n - kV2TrailerBytes, 4);
+    }
+    return Bad("unsupported engine meta version " +
+               std::to_string(trailer == 2 ? trailer : version));
+  }
+  auto num_tables = meta.ReadU64();
+  if (!num_tables.ok()) return num_tables.status();
+  core::FcmConfig config;
+  FCM_RETURN_IF_ERROR(ReadConfig(&meta, &config));
   uint32_t index_x_derivations = 0, x_derivation_grid = 0;
-  uint32_t lsh_bits = 0, lsh_tables = 0, lsh_hamming1 = 0, lsh_shards = 0;
+  uint32_t lsh_bits = 0, lsh_tables = 0, lsh_hamming1 = 0;
   FCM_RETURN_IF_ERROR(rd_u32(&index_x_derivations));
   FCM_RETURN_IF_ERROR(rd_u32(&x_derivation_grid));
   FCM_RETURN_IF_ERROR(rd_u32(&lsh_bits));
@@ -337,24 +340,15 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   FCM_RETURN_IF_ERROR(rd_u32(&lsh_hamming1));
   auto lsh_seed = meta.ReadU64();
   if (!lsh_seed.ok()) return lsh_seed.status();
-  FCM_RETURN_IF_ERROR(rd_u32(&lsh_shards));
   auto lsh_items = meta.ReadU64();
   if (!lsh_items.ok()) return lsh_items.status();
+  uint32_t precision = 0, mean_prefilter = 0;
+  FCM_RETURN_IF_ERROR(rd_u32(&precision));
+  FCM_RETURN_IF_ERROR(rd_u32(&mean_prefilter));
+  if (meta.remaining() != 0) return Bad("meta stream has trailing bytes");
   if (config.embed_dim <= 0 || config.embed_dim > (1 << 20)) {
     return Bad("implausible embed_dim");
   }
-  // Engine-meta v2 block.
-  if (meta.remaining() != kEngineMetaBytes) {
-    return Bad("engine meta block missing or malformed");
-  }
-  uint32_t engine_meta_version = 0, precision = 0, mean_prefilter = 0;
-  FCM_RETURN_IF_ERROR(rd_u32(&engine_meta_version));
-  if (engine_meta_version != kEngineMetaVersion) {
-    return Bad("unsupported engine meta version " +
-               std::to_string(engine_meta_version));
-  }
-  FCM_RETURN_IF_ERROR(rd_u32(&precision));
-  FCM_RETURN_IF_ERROR(rd_u32(&mean_prefilter));
   if (precision > 1) return Bad("unknown embedding precision");
 
   // Model, reconstructed from config + saved parameters (shape- and
@@ -377,7 +371,6 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   engine->options_.lsh.num_tables = static_cast<int>(lsh_tables);
   engine->options_.lsh.probe_hamming1 = lsh_hamming1 != 0;
   engine->options_.lsh.seed = lsh_seed.value();
-  engine->options_.lsh.num_shards = static_cast<int>(lsh_shards);
   engine->options_.precision = static_cast<EmbeddingPrecision>(precision);
   engine->options_.mean_prefilter = static_cast<int>(mean_prefilter);
   engine->pool_ = std::make_unique<common::ThreadPool>(options.num_threads);
@@ -433,7 +426,7 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
     if (!pbegin.ok()) return pbegin.status();
     if (!pay.ok()) return pay.status();
     frozen.hyperplanes = planes.value();
-    frozen.group_begin = gbegin.value();
+    frozen.table_begin = gbegin.value();
     frozen.codes = codes.value();
     frozen.payload_begin = pbegin.value();
     frozen.payloads = pay.value();
@@ -549,7 +542,6 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   engine->build_stats_.interval_memory_bytes =
       segment->interval_tree->MemoryBytes();
   engine->build_stats_.lsh_memory_bytes = segment->lsh->MemoryBytes();
-  engine->build_stats_.lsh_shards = segment->lsh->num_shards();
   engine->build_stats_.embedding_bytes = segment->embedding_bytes();
 
   std::shared_ptr<EngineEpoch> epoch(new EngineEpoch());

@@ -34,7 +34,7 @@ common::Status SearchEngine::IngestBatch(std::vector<table::Table> tables,
   const EpochPin current = PinEpoch();
   if (current == nullptr) {
     return common::Status::FailedPrecondition(
-        "IngestBatch requires a built engine (call Build first)");
+        "IngestBatch requires a built engine (call BuildWithOptions first)");
   }
   if (stats != nullptr) {
     *stats = {};
@@ -83,7 +83,7 @@ common::Status SearchEngine::Compact(CompactStats* stats) {
   const EpochPin current = PinEpoch();
   if (current == nullptr) {
     return common::Status::FailedPrecondition(
-        "Compact requires a built engine (call Build first)");
+        "Compact requires a built engine (call BuildWithOptions first)");
   }
   const auto t0 = std::chrono::steady_clock::now();
   if (stats != nullptr) {
@@ -97,7 +97,7 @@ common::Status SearchEngine::Compact(CompactStats* stats) {
   // encodings) are shared, never copied; only the means blocks are
   // re-concatenated in global table order, and the LSH + interval tree
   // are rebuilt over them — the same inputs in the same order a
-  // from-scratch Build over these logical tables would consume, so the
+  // from-scratch build over these logical tables would consume, so the
   // merged index is structurally identical and rankings cannot change.
   const size_t embed_dim = static_cast<size_t>(model_->config().embed_dim);
   const bool int8_mode = options_.precision == EmbeddingPrecision::kInt8;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/simd.h"
 
 namespace fcm::index {
@@ -22,30 +22,57 @@ std::vector<int64_t> SortedUnique(std::vector<int64_t> hits) {
 
 }  // namespace
 
-RandomHyperplaneLsh::RandomHyperplaneLsh(int dim, const LshConfig& config)
-    : dim_(dim), config_(config) {
+RandomHyperplaneLsh::RandomHyperplaneLsh(int dim, const LshConfig& config,
+                                         const std::vector<LshItem>& items,
+                                         common::ThreadPool* pool)
+    : dim_(dim), config_(config), num_items_(items.size()) {
   FCM_CHECK_GT(dim, 0);
   FCM_CHECK_GT(config.num_bits, 0);
   FCM_CHECK_LE(config.num_bits, 64);
   FCM_CHECK_GT(config.num_tables, 0);
+  FCM_CHECK(pool != nullptr);
   common::Rng rng(config.seed);
-  hyperplane_data_.resize(static_cast<size_t>(config.num_tables) *
-                          config.num_bits * static_cast<size_t>(dim));
-  for (auto& v : hyperplane_data_) v = static_cast<float>(rng.Normal());
-  hyperplanes_view_ = hyperplane_data_;
-  int requested = config.num_shards;
-  if (requested <= 0) {
-    requested =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  hyperplanes_.resize(static_cast<size_t>(config.num_tables) *
+                      config.num_bits * static_cast<size_t>(dim));
+  for (auto& v : hyperplanes_) v = static_cast<float>(rng.Normal());
+  view_.hyperplanes = hyperplanes_;
+
+  // Per-(item, table) codes: the dot products dominate the build and are
+  // embarrassingly parallel.
+  const size_t n = items.size();
+  const size_t tables = static_cast<size_t>(config.num_tables);
+  std::vector<uint64_t> codes(n * tables);
+  pool->ParallelFor(n, [&](size_t i) {
+    for (size_t t = 0; t < tables; ++t) {
+      codes[t * n + i] = CodeRaw(items[i].embedding, static_cast<int>(t));
+    }
+  });
+
+  // Per table, (code, item) pairs sorted ascending put codes in order and
+  // each bucket's items in item order; one pass then writes the CSR
+  // arrays, dropping adjacent duplicate payloads.
+  std::vector<std::pair<uint64_t, size_t>> keyed(n);
+  for (size_t t = 0; t < tables; ++t) {
+    table_begin_.push_back(codes_.size());
+    for (size_t i = 0; i < n; ++i) keyed[i] = {codes[t * n + i], i};
+    std::sort(keyed.begin(), keyed.end());
+    for (const auto& [code, i] : keyed) {
+      const int64_t payload = items[i].payload;
+      if (codes_.size() == table_begin_.back() || codes_.back() != code) {
+        codes_.push_back(code);
+        payload_begin_.push_back(payloads_.size());
+      } else if (payloads_.back() == payload) {
+        continue;
+      }
+      payloads_.push_back(payload);
+    }
   }
-  shard_bits_ = 0;
-  while ((1 << shard_bits_) < requested && shard_bits_ < config.num_bits &&
-         shard_bits_ < 16) {
-    ++shard_bits_;
-  }
-  num_shards_ = 1 << shard_bits_;
-  config_.num_shards = num_shards_;
-  shards_.resize(static_cast<size_t>(config.num_tables) * num_shards_);
+  table_begin_.push_back(codes_.size());
+  payload_begin_.push_back(payloads_.size());
+  view_.table_begin = table_begin_;
+  view_.codes = codes_;
+  view_.payload_begin = payload_begin_;
+  view_.payloads = payloads_;
 }
 
 common::Result<RandomHyperplaneLsh> RandomHyperplaneLsh::FromFrozen(
@@ -55,51 +82,44 @@ common::Result<RandomHyperplaneLsh> RandomHyperplaneLsh::FromFrozen(
     return common::Status::InvalidArgument("lsh frozen data: " + what);
   };
   if (dim <= 0 || config.num_bits <= 0 || config.num_bits > 64 ||
-      config.num_tables <= 0 || config.num_shards <= 0 ||
-      (config.num_shards & (config.num_shards - 1)) != 0) {
+      config.num_tables <= 0) {
     return bad("invalid configuration");
   }
-  int shard_bits = 0;
-  while ((1 << shard_bits) < config.num_shards) ++shard_bits;
-  if (shard_bits > config.num_bits || shard_bits > 16) {
-    return bad("shard count out of range");
-  }
-  const size_t groups =
-      static_cast<size_t>(config.num_tables) * config.num_shards;
-  if (frozen.hyperplanes.size() != static_cast<size_t>(config.num_tables) *
-                                       config.num_bits *
-                                       static_cast<size_t>(dim)) {
+  const size_t tables = static_cast<size_t>(config.num_tables);
+  if (frozen.hyperplanes.size() !=
+      tables * config.num_bits * static_cast<size_t>(dim)) {
     return bad("hyperplane block has the wrong size");
   }
-  if (frozen.group_begin.size() != groups + 1) {
-    return bad("group_begin length does not match table x shard count");
+  if (frozen.table_begin.size() != tables + 1) {
+    return bad("table_begin length does not match the table count");
   }
-  if (frozen.group_begin[0] != 0 ||
-      frozen.group_begin[groups] != frozen.codes.size()) {
-    return bad("group_begin does not span the code array");
+  if (frozen.table_begin[0] != 0 ||
+      frozen.table_begin[tables] != frozen.codes.size()) {
+    return bad("table_begin does not span the code array");
   }
-  for (size_t g = 0; g < groups; ++g) {
-    if (frozen.group_begin[g] > frozen.group_begin[g + 1]) {
-      return bad("group_begin is not monotone");
+  for (size_t t = 0; t < tables; ++t) {
+    // Bound every offset before reading a code through it.
+    if (frozen.table_begin[t] > frozen.table_begin[t + 1] ||
+        frozen.table_begin[t + 1] > frozen.codes.size()) {
+      return bad("table_begin is not monotone within the code array");
     }
-    for (uint64_t i = frozen.group_begin[g] + 1;
-         i < frozen.group_begin[g + 1]; ++i) {
+    for (uint64_t i = frozen.table_begin[t] + 1;
+         i < frozen.table_begin[t + 1]; ++i) {
       if (frozen.codes[i - 1] >= frozen.codes[i]) {
-        return bad("codes are not strictly increasing within a group");
+        return bad("codes are not strictly increasing within a table");
       }
     }
   }
   if (frozen.payload_begin.size() != frozen.codes.size() + 1) {
     return bad("payload_begin length does not match the code array");
   }
-  if (!frozen.payload_begin.empty() &&
-      (frozen.payload_begin[0] != 0 ||
-       frozen.payload_begin.back() != frozen.payloads.size())) {
+  if (frozen.payload_begin[0] != 0 ||
+      frozen.payload_begin.back() != frozen.payloads.size()) {
     return bad("payload_begin does not span the payload array");
   }
   for (size_t i = 0; i + 1 < frozen.payload_begin.size(); ++i) {
-    // Every bucket holds at least one payload (empty buckets are never
-    // created by Insert and would be dropped by Freeze).
+    // Every bucket holds at least one payload (the build never writes an
+    // empty one).
     if (frozen.payload_begin[i] >= frozen.payload_begin[i + 1]) {
       return bad("payload_begin is not strictly monotone");
     }
@@ -108,58 +128,9 @@ common::Result<RandomHyperplaneLsh> RandomHyperplaneLsh::FromFrozen(
   RandomHyperplaneLsh lsh;
   lsh.dim_ = dim;
   lsh.config_ = config;
-  lsh.num_shards_ = config.num_shards;
-  lsh.shard_bits_ = shard_bits;
-  lsh.hyperplanes_view_ = frozen.hyperplanes;
-  lsh.frozen_ = true;
   lsh.view_ = frozen;
   lsh.num_items_ = num_items;
   return lsh;
-}
-
-void RandomHyperplaneLsh::Freeze() {
-  if (frozen_) return;
-  const size_t groups = shards_.size();
-  group_begin_.assign(groups + 1, 0);
-  codes_.clear();
-  payload_begin_.clear();
-  payloads_.clear();
-  for (size_t g = 0; g < groups; ++g) {
-    group_begin_[g] = codes_.size();
-    // Sorted codes within the group make frozen probes binary searches;
-    // per-bucket payload order (insertion order) is preserved, so the
-    // frozen index answers bit-identically.
-    std::vector<uint64_t> group_codes;
-    group_codes.reserve(shards_[g].size());
-    for (const auto& [code, payloads] : shards_[g]) {
-      group_codes.push_back(code);
-    }
-    std::sort(group_codes.begin(), group_codes.end());
-    for (const uint64_t code : group_codes) {
-      codes_.push_back(code);
-      payload_begin_.push_back(payloads_.size());
-      const auto& bucket = shards_[g].at(code);
-      payloads_.insert(payloads_.end(), bucket.begin(), bucket.end());
-    }
-  }
-  group_begin_[groups] = codes_.size();
-  payload_begin_.push_back(payloads_.size());
-  shards_.clear();
-  shards_.shrink_to_fit();
-  frozen_ = true;
-  view_ = Frozen{hyperplanes_view_, group_begin_, codes_, payload_begin_,
-                 payloads_};
-}
-
-const RandomHyperplaneLsh::Frozen& RandomHyperplaneLsh::frozen_view() const {
-  FCM_CHECK(frozen_);
-  return view_;
-}
-
-size_t RandomHyperplaneLsh::ShardOf(uint64_t code) const {
-  return shard_bits_ == 0
-             ? 0
-             : static_cast<size_t>(code >> (config_.num_bits - shard_bits_));
 }
 
 uint64_t RandomHyperplaneLsh::CodeRaw(const float* embedding,
@@ -181,98 +152,22 @@ uint64_t RandomHyperplaneLsh::Code(const std::vector<float>& embedding,
   return CodeRaw(embedding.data(), table);
 }
 
-void RandomHyperplaneLsh::InsertCoded(int t, uint64_t code, int64_t payload) {
-  auto& bucket =
-      shards_[static_cast<size_t>(t) * num_shards_ + ShardOf(code)][code];
-  if (!bucket.empty() && bucket.back() == payload) return;
-  bucket.push_back(payload);
-}
-
-void RandomHyperplaneLsh::Insert(const std::vector<float>& embedding,
-                                 int64_t payload) {
-  FCM_CHECK(!frozen_);
-  for (int t = 0; t < config_.num_tables; ++t) {
-    InsertCoded(t, Code(embedding, t), payload);
-  }
-  ++num_items_;
-}
-
-void RandomHyperplaneLsh::InsertBatch(const std::vector<LshInsertItem>& items,
-                                      common::ThreadPool* pool) {
-  FCM_CHECK(!frozen_);
-  if (items.empty()) return;
-  if (pool == nullptr || num_shards_ == 1) {
-    // A single shard has no per-shard locality to exploit: keep the legacy
-    // serial build, which `num_shards == 1` promises to reproduce exactly.
-    for (const auto& item : items) {
-      for (int t = 0; t < config_.num_tables; ++t) {
-        InsertCoded(t, CodeRaw(item.embedding, t), item.payload);
-      }
-      ++num_items_;
-    }
-    return;
-  }
-  const size_t tables = static_cast<size_t>(config_.num_tables);
-  // Stage 1: per-(item, table) codes — the dot products dominate the build
-  // and are embarrassingly parallel.
-  std::vector<uint64_t> codes(items.size() * tables);
-  pool->ParallelFor(items.size(), [&](size_t i) {
-    for (size_t t = 0; t < tables; ++t) {
-      codes[i * tables + t] = CodeRaw(items[i].embedding, static_cast<int>(t));
-    }
-  });
-  // Stage 2: (table, shard) tasks insert the pairs routed to them. Within
-  // one shard pairs arrive in increasing flat index, i.e. item order, so
-  // each bucket fills exactly as the serial loop would.
-  pool->ParallelForSharded(
-      codes.size(), tables * static_cast<size_t>(num_shards_),
-      [&](size_t p) {
-        return (p % tables) * num_shards_ + ShardOf(codes[p]);
-      },
-      [&](size_t /*shard*/, size_t p) {
-        InsertCoded(static_cast<int>(p % tables), codes[p],
-                    items[p / tables].payload);
-      });
-  num_items_ += items.size();
-}
-
 void RandomHyperplaneLsh::ProbeTable(int table, uint64_t code,
                                      std::vector<int64_t>* out) const {
-  // Probing in ascending bit order is already shard-grouped: flipping a
-  // bit below the shard prefix keeps the code in the query's home shard,
-  // so the home shard takes the bulk of the lookups consecutively and
-  // each top-bit flip then touches exactly one foreign shard. The final
-  // sorted-unique merge makes the visit order invisible to callers.
-  const auto probe_frozen = [&](uint64_t probe) {
-    const size_t g =
-        static_cast<size_t>(table) * num_shards_ + ShardOf(probe);
-    const uint64_t* begin = view_.codes.data() + view_.group_begin[g];
-    const uint64_t* end = view_.codes.data() + view_.group_begin[g + 1];
-    const uint64_t* it = std::lower_bound(begin, end, probe);
-    if (it == end || *it != probe) return;
-    const size_t bucket = static_cast<size_t>(it - view_.codes.data());
-    const uint64_t lo = view_.payload_begin[bucket];
-    const uint64_t hi = view_.payload_begin[bucket + 1];
-    out->insert(out->end(), view_.payloads.data() + lo,
-                view_.payloads.data() + hi);
+  const uint64_t* codes = view_.codes.data();
+  const uint64_t* begin = codes + view_.table_begin[table];
+  const uint64_t* end = codes + view_.table_begin[table + 1];
+  const auto probe = [&](uint64_t c) {
+    const uint64_t* it = std::lower_bound(begin, end, c);
+    if (it == end || *it != c) return;
+    const size_t bucket = static_cast<size_t>(it - codes);
+    out->insert(out->end(),
+                view_.payloads.data() + view_.payload_begin[bucket],
+                view_.payloads.data() + view_.payload_begin[bucket + 1]);
   };
-  const auto probe_map = [&](uint64_t probe) {
-    const auto& buckets =
-        shards_[static_cast<size_t>(table) * num_shards_ + ShardOf(probe)];
-    auto it = buckets.find(probe);
-    if (it == buckets.end()) return;
-    out->insert(out->end(), it->second.begin(), it->second.end());
-  };
-  const auto probe_one = [&](uint64_t probe) {
-    if (frozen_) {
-      probe_frozen(probe);
-    } else {
-      probe_map(probe);
-    }
-  };
-  probe_one(code);
+  probe(code);
   if (config_.probe_hamming1) {
-    for (int b = 0; b < config_.num_bits; ++b) probe_one(code ^ (1ULL << b));
+    for (int b = 0; b < config_.num_bits; ++b) probe(code ^ (1ULL << b));
   }
 }
 
@@ -291,10 +186,6 @@ std::vector<std::vector<int64_t>> RandomHyperplaneLsh::QueryBatch(
   const size_t n = embeddings.size();
   std::vector<std::vector<int64_t>> out(n);
   if (n == 0) return out;
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) out[i] = Query(embeddings[i]);
-    return out;
-  }
   const size_t tables = static_cast<size_t>(config_.num_tables);
   // Stage 1: every (embedding, table) pair codes and probes independently,
   // so small batches still spread across the pool.
@@ -317,20 +208,11 @@ std::vector<std::vector<int64_t>> RandomHyperplaneLsh::QueryBatch(
 }
 
 size_t RandomHyperplaneLsh::MemoryBytes() const {
-  size_t bytes = hyperplanes_view_.size() * sizeof(float);
-  if (frozen_) {
-    bytes += (view_.group_begin.size() + view_.codes.size() +
-              view_.payload_begin.size()) *
-                 sizeof(uint64_t) +
-             view_.payloads.size() * sizeof(int64_t);
-    return bytes;
-  }
-  for (const auto& shard : shards_) {
-    for (const auto& [code, payloads] : shard) {
-      bytes += sizeof(code) + payloads.size() * sizeof(int64_t) + 32;
-    }
-  }
-  return bytes;
+  return view_.hyperplanes.size() * sizeof(float) +
+         (view_.table_begin.size() + view_.codes.size() +
+          view_.payload_begin.size()) *
+             sizeof(uint64_t) +
+         view_.payloads.size() * sizeof(int64_t);
 }
 
 }  // namespace fcm::index

@@ -3,32 +3,19 @@
 // random vectors; datasets are indexed by all their columns' codes and a
 // query line retrieves every dataset colliding in at least one table.
 //
-// Sharding: every hash table's buckets are partitioned into `num_shards`
-// shards addressed by the top log2(num_shards) bits of the code. Batched
-// builds fan (table, shard) tasks across a thread pool — each task owns
-// its shard's bucket maps exclusively, so no locks are needed — and
-// multi-probe queries only touch the shards their probe codes route to.
-// Query results are independent of the shard count and thread count;
-// `num_shards == 1` reproduces the unsharded layout (and serial build)
-// exactly.
-//
-// Lifecycle: build (hash-map buckets, mutable) -> Freeze() (buckets
-// rewritten into CSR-style flat arrays, maps discarded) -> serve. Frozen
-// probes binary-search sorted code arrays through storage::Span views, so
-// the same probe code serves a heap-frozen index or one whose arrays live
-// in an mmap'ed snapshot (FromFrozen). Query results are bit-identical
-// across all three states — SortedUnique makes probe order invisible and
-// per-bucket payload order is preserved by the freeze.
+// Storage: frozen into CSR-style flat arrays at construction, as
+// IntervalTree is, and probed through storage::Span views, so the same
+// code serves a heap-built index or one mapped from a snapshot
+// (FromFrozen). Queries return sorted, de-duplicated payload lists, so
+// neither probe order nor the order of payloads in a bucket shows.
 
 #ifndef FCM_INDEX_LSH_H_
 #define FCM_INDEX_LSH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "storage/span.h"
 
@@ -44,16 +31,11 @@ struct LshConfig {
   /// Also probe buckets at Hamming distance 1 from the query code.
   bool probe_hamming1 = true;
   uint64_t seed = 7;
-  /// Bucket shards per table, rounded up to a power of two and capped at
-  /// min(2^num_bits, 2^16). <= 0 picks the owning engine's thread-pool
-  /// size (hardware concurrency when constructed standalone); 1 keeps the
-  /// legacy single-structure layout and serial batch build.
-  int num_shards = 0;
 };
 
-/// One item of a batched build; the embedding memory (dim floats) must
-/// outlive the InsertBatch call.
-struct LshInsertItem {
+/// One indexed item; the embedding memory (dim floats) must outlive the
+/// constructor call.
+struct LshItem {
   const float* embedding = nullptr;
   int64_t payload = 0;
 };
@@ -61,27 +43,33 @@ struct LshInsertItem {
 /// Cosine LSH over dense float vectors with int64 payloads (table ids).
 class RandomHyperplaneLsh {
  public:
-  /// The frozen columnar bucket layout. Buckets are grouped by
-  /// group = table * num_shards + shard; within a group codes are sorted
-  /// ascending. group_begin (size groups + 1) slices `codes`;
-  /// payload_begin (size codes + 1) slices `payloads`, which preserve
-  /// per-bucket insertion order.
+  /// The frozen columnar bucket layout. table_begin (size num_tables + 1)
+  /// slices `codes` per hash table; within a table codes are strictly
+  /// ascending. payload_begin (size codes + 1) slices `payloads`, which
+  /// list each bucket's payloads in item order.
   struct Frozen {
     /// hyperplanes[(table * num_bits + bit) * dim + d].
     storage::Span<float> hyperplanes;
-    storage::Span<uint64_t> group_begin;
+    storage::Span<uint64_t> table_begin;
     storage::Span<uint64_t> codes;
     storage::Span<uint64_t> payload_begin;
     storage::Span<int64_t> payloads;
   };
 
-  /// `dim` is the embedding dimensionality.
-  RandomHyperplaneLsh(int dim, const LshConfig& config);
+  /// Indexes `items` (`dim` floats each) and freezes. Every (item, table)
+  /// code is computed in one pass fanned out across `pool` (non-null);
+  /// each table's buckets are then laid out serially, so the arrays are
+  /// identical for every pool size. Adjacent duplicate payloads within a
+  /// bucket — several columns of one table colliding — are dropped: they
+  /// cannot change Query results (which dedup) and would only inflate
+  /// memory and probe cost.
+  RandomHyperplaneLsh(int dim, const LshConfig& config,
+                      const std::vector<LshItem>& items,
+                      common::ThreadPool* pool);
 
   /// Wraps externally owned frozen arrays (e.g. mmap'ed snapshot
-  /// sections) without copying. `config.num_shards` must be the resolved
-  /// power-of-two shard count. Validates array-length consistency,
-  /// offset monotonicity and in-group code ordering; fails loudly
+  /// sections) without copying. Validates array-length consistency,
+  /// offset monotonicity and in-table code ordering; fails loudly
   /// otherwise. The backing memory must outlive the returned index.
   static common::Result<RandomHyperplaneLsh> FromFrozen(
       int dim, const LshConfig& config, size_t num_items,
@@ -92,107 +80,58 @@ class RandomHyperplaneLsh {
   RandomHyperplaneLsh(RandomHyperplaneLsh&&) = default;
   RandomHyperplaneLsh& operator=(RandomHyperplaneLsh&&) = default;
 
-  /// Indexes `payload` under `embedding` (one call per column). Adjacent
-  /// duplicate payloads within a bucket — several columns of one table
-  /// colliding — are dropped: they cannot change Query results (which
-  /// dedup) and would only inflate memory and probe cost. Requires an
-  /// unfrozen index.
-  void Insert(const std::vector<float>& embedding, int64_t payload);
-
-  /// Indexes every item with the build fanned out across `pool`: codes are
-  /// computed in one parallel pass, then (table, shard) tasks consume the
-  /// items routed to them, each owning its shard's bucket maps
-  /// exclusively and visiting items in item order. The resulting layout is
-  /// identical to calling Insert serially in item order, whatever the
-  /// schedule. With a single shard or a null pool the build runs that
-  /// serial loop directly (the pre-sharding behaviour). Requires an
-  /// unfrozen index.
-  void InsertBatch(const std::vector<LshInsertItem>& items,
-                   common::ThreadPool* pool);
-
-  /// Rewrites the hash-map buckets into the flat frozen layout and
-  /// discards the maps. Inserts are rejected afterwards; queries return
-  /// exactly what they returned before freezing. Idempotent.
-  void Freeze();
-
-  bool frozen() const { return frozen_; }
-
-  /// The frozen arrays (for snapshot serialization). Requires frozen().
-  const Frozen& frozen_view() const;
+  /// The frozen arrays (for snapshot serialization).
+  const Frozen& frozen() const { return view_; }
 
   /// Binary code of an embedding in hash table `table`.
   uint64_t Code(const std::vector<float>& embedding, int table) const;
 
   /// All payloads colliding with the query embedding in any table
   /// (optionally probing Hamming-distance-1 buckets), deduplicated and
-  /// sorted ascending — the same list for every shard count.
+  /// sorted ascending.
   std::vector<int64_t> Query(const std::vector<float>& embedding) const;
 
   /// Batched Query: out[i] == Query(embeddings[i]) exactly, with the code
   /// computation and probing fanned out per (embedding, table) across
-  /// `pool` and per-table hits merged per embedding in a second dispatch.
-  /// A null pool runs the serial per-embedding loop.
+  /// `pool` (non-null) and per-table hits merged per embedding in a second
+  /// dispatch.
   std::vector<std::vector<int64_t>> QueryBatch(
       const std::vector<std::vector<float>>& embeddings,
       common::ThreadPool* pool) const;
 
-  /// Approximate memory footprint in bytes.
+  /// Memory footprint of the frozen arrays in bytes, whether owned or
+  /// file-backed.
   size_t MemoryBytes() const;
 
   size_t num_items() const { return num_items_; }
 
-  /// Resolved shard count (power of two).
-  int num_shards() const { return num_shards_; }
-
  private:
-  using BucketMap = std::unordered_map<uint64_t, std::vector<int64_t>>;
-
   RandomHyperplaneLsh() = default;
-
-  /// Shard a code routes to: its top shard-bits prefix.
-  size_t ShardOf(uint64_t code) const;
 
   /// The hyperplane for (table, bit): `dim_` floats.
   const float* Hyperplane(int table, int bit) const {
-    return hyperplanes_view_.data() +
+    return view_.hyperplanes.data() +
            (static_cast<size_t>(table) * config_.num_bits + bit) *
                static_cast<size_t>(dim_);
   }
 
   uint64_t CodeRaw(const float* embedding, int table) const;
 
-  /// Appends `payload` to table `t`'s bucket for `code`, dropping adjacent
-  /// duplicates.
-  void InsertCoded(int t, uint64_t code, int64_t payload);
-
   /// Probes one table for `code` plus (when configured) its Hamming-1
-  /// neighbours, appending raw hits to `out`. Ascending bit order visits
-  /// the home shard's probes consecutively, then one foreign shard per
-  /// shard-prefix bit flip.
+  /// neighbours, appending raw hits to `out`.
   void ProbeTable(int table, uint64_t code, std::vector<int64_t>* out) const;
 
   int dim_ = 0;
   LshConfig config_;
-  int num_shards_ = 1;  // Power of two.
-  int shard_bits_ = 0;  // log2(num_shards_), <= config_.num_bits.
 
-  /// Owned hyperplane block (empty when file-backed); hyperplanes_view_
-  /// is the single access path either way.
-  std::vector<float> hyperplane_data_;
-  storage::Span<float> hyperplanes_view_;
-
-  /// Build-phase buckets: shards_[table * num_shards_ + shard] maps
-  /// code -> payloads. Cleared by Freeze().
-  std::vector<BucketMap> shards_;
-
-  /// Frozen layout: owned arrays (empty when file-backed) + the view.
-  bool frozen_ = false;
-  std::vector<uint64_t> group_begin_;
+  // Owned backing (empty when wrapping external frozen memory).
+  std::vector<float> hyperplanes_;
+  std::vector<uint64_t> table_begin_;
   std::vector<uint64_t> codes_;
   std::vector<uint64_t> payload_begin_;
   std::vector<int64_t> payloads_;
-  Frozen view_;
 
+  Frozen view_;
   size_t num_items_ = 0;
 };
 

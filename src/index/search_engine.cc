@@ -108,12 +108,6 @@ std::vector<float> SearchEngine::MeanEmbedding(const nn::Tensor& rep) {
   return out;
 }
 
-void SearchEngine::Build(const LshConfig& lsh_config) {
-  SearchEngineOptions options;
-  options.lsh = lsh_config;
-  BuildWithOptions(options);
-}
-
 std::shared_ptr<const IndexSegment> SearchEngine::BuildSegment(
     const std::vector<table::Table>& tables, table::TableId first_id,
     double* encode_seconds, double* interval_seconds,
@@ -218,21 +212,14 @@ void SearchEngine::BuildSegmentIndexes(IndexSegment* segment,
   segment->interval_tree = std::make_unique<IntervalTree>(std::move(intervals));
   if (interval_seconds != nullptr) *interval_seconds += Seconds(t_interval);
 
-  // LSH over the segment's mean rows (plus derivation means), sharded by
-  // code prefix so the batch insert fans (table, shard) tasks across the
-  // pool. Items are flattened in table order, which fixes the bucket
-  // layout whatever the schedule or shard count. Hyperplanes are a pure
-  // function of (dim, LshConfig) — identical for every segment — so a
-  // query probes the same buckets everywhere and the union of
-  // per-segment hits equals a single merged index's hits.
+  // LSH over the segment's mean rows (plus derivation means). Items are
+  // flattened in table order, which fixes each bucket's payload order
+  // whatever the schedule. Hyperplanes are a pure function of
+  // (dim, LshConfig) — identical for every segment — so a query probes the
+  // same buckets everywhere and the union of per-segment hits equals a
+  // single merged index's hits.
   const auto t_lsh = std::chrono::steady_clock::now();
   const size_t embed_dim = static_cast<size_t>(model_->config().embed_dim);
-  LshConfig lsh_config = options_.lsh;
-  if (lsh_config.num_shards <= 0) {
-    lsh_config.num_shards = pool_->num_threads();
-  }
-  segment->lsh = std::make_unique<RandomHyperplaneLsh>(
-      model_->config().embed_dim, lsh_config);
   const float* rows = segment->means_view.data();
   std::vector<float> dequantized;
   if (options_.precision == EmbeddingPrecision::kInt8) {
@@ -248,7 +235,7 @@ void SearchEngine::BuildSegmentIndexes(IndexSegment* segment,
     });
     rows = dequantized.data();
   }
-  std::vector<LshInsertItem> items;
+  std::vector<LshItem> items;
   for (size_t i = 0; i < segment->entries.size(); ++i) {
     const auto id = segment->first_id + static_cast<table::TableId>(i);
     const size_t num_means = segment->entries[i]->num_means;
@@ -257,10 +244,8 @@ void SearchEngine::BuildSegmentIndexes(IndexSegment* segment,
           {rows + (segment->mean_begin[i] + m) * embed_dim, id});
     }
   }
-  segment->lsh->InsertBatch(items, pool_.get());
-  // Freeze rewrites the hash-map buckets into the flat CSR arrays the
-  // serving path (and SaveSnapshot) reads; query results are unchanged.
-  segment->lsh->Freeze();
+  segment->lsh = std::make_unique<RandomHyperplaneLsh>(
+      model_->config().embed_dim, options_.lsh, items, pool_.get());
   if (lsh_seconds != nullptr) *lsh_seconds += Seconds(t_lsh);
 }
 
@@ -301,7 +286,6 @@ void SearchEngine::BuildWithOptions(const SearchEngineOptions& options) {
       &build_stats_.interval_build_seconds, &build_stats_.lsh_build_seconds);
   build_stats_.interval_memory_bytes = segment->interval_tree->MemoryBytes();
   build_stats_.lsh_memory_bytes = segment->lsh->MemoryBytes();
-  build_stats_.lsh_shards = segment->lsh->num_shards();
   build_stats_.embedding_bytes = segment->embedding_bytes();
 
   std::shared_ptr<EngineEpoch> epoch(new EngineEpoch());
@@ -491,7 +475,7 @@ void SearchEngine::CandidateStage(std::vector<StagedQuery>* staged,
     return s == IndexStrategy::kLsh || s == IndexStrategy::kHybrid;
   };
   const bool prefilter_on = options_.mean_prefilter > 0;
-  // Per-query line mean embeddings feed two consumers — the sharded LSH
+  // Per-query line mean embeddings feed two consumers — the LSH
   // QueryBatch and the mean-similarity prefilter — so compute each needed
   // query's means once, flattened in query order.
   std::vector<size_t> line_offset(staged->size(), 0);
@@ -511,7 +495,7 @@ void SearchEngine::CandidateStage(std::vector<StagedQuery>* staged,
         means[line_offset[i] + l] = MeanEmbedding(sq.chart_rep[l].representation);
       }
     });
-    // One sharded QueryBatch over every LSH-consulting query's lines,
+    // One QueryBatch over every LSH-consulting query's lines,
     // whatever mix of strategies the stage call carries. Prefilter-only
     // queries must not probe the index, so their means are skipped here
     // (moved when the prefilter no longer needs them).

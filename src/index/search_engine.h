@@ -2,23 +2,23 @@
 // and LSH candidate pruning followed by FCM re-ranking of the survivors.
 //
 // Heavy stages fan out over a fixed thread pool: per-table encoding and
-// sharded LSH insertion at build time, LSH candidate generation and
+// LSH code computation at build time, LSH candidate generation and
 // per-candidate scoring at query time. Parallel execution is bit-identical
 // to the serial path — tables and candidates are scored independently,
 // consumed in deterministic order, and candidate ids are sorted before
 // scoring — so rankings (including tie order) never depend on the thread
-// count, the LSH shard count, or hash-set iteration order.
+// count or on hash-set iteration order.
 //
 // Live ingestion (the mutable-data-lake tentpole): a built engine is no
 // longer frozen for life. IngestBatch appends new tables as immutable
-// *delta segments* (incremental sharded LSH insert + an interval-tree
-// delta over just the new tables) and publishes a new *epoch*; Compact
+// *delta segments* (an LSH index and an interval tree over just the new
+// tables) and publishes a new *epoch*; Compact
 // merges every segment into a fresh frozen base. Readers pin an epoch for
 // the duration of a Search / SearchBatch / async request — an O(1)
 // shared_ptr copy, never a lock held across query work — and retired
 // epochs are destroyed when their last pinned reader drains (RCU with
 // refcounts). The determinism contract is restated per epoch: any pinned
-// epoch ranks bit-identically to a from-scratch Build over the same
+// epoch ranks bit-identically to a from-scratch build over the same
 // logical tables, across thread counts, strategies, batching, and async
 // coalescing; ingestion and compaction never perturb a pinned epoch's
 // results (proven by tests/ingest_test.cc).
@@ -87,9 +87,6 @@ struct BuildStats {
   double encode_seconds = 0.0;
   size_t interval_memory_bytes = 0;
   size_t lsh_memory_bytes = 0;
-  /// Shard count the LSH index resolved to (power of two; may differ from
-  /// the requested LshConfig::num_shards).
-  int lsh_shards = 1;
   /// Bytes held by the serving-side mean-embedding tier: the f32 block in
   /// kFloat32 mode, the int8 code block plus its per-row f32 scale vector
   /// in kInt8 mode (the f32 block is dropped after the LSH build).
@@ -120,8 +117,7 @@ struct CompactStats {
 
 /// Engine construction options.
 struct SearchEngineOptions {
-  /// LSH settings; `lsh.num_shards <= 0` resolves to the engine's thread
-  /// pool size so build inserts fan out across every worker.
+  /// LSH settings.
   LshConfig lsh;
   /// Numerical x-axis generalization (paper Sec. VI-B): for every table,
   /// also index its T' derivations — the table re-sorted by each column
@@ -135,8 +131,8 @@ struct SearchEngineOptions {
   /// <= 0 uses the hardware concurrency, 1 runs fully serial.
   int num_threads = 0;
   /// Storage precision of the mean-embedding block (see
-  /// EmbeddingPrecision). kInt8 quantizes at Freeze() time and drops the
-  /// f32 block, cutting the tier to ~0.28x of its f32 bytes.
+  /// EmbeddingPrecision). kInt8 quantizes when a segment is built and
+  /// drops the f32 block, cutting the tier to ~0.28x of its f32 bytes.
   EmbeddingPrecision precision = EmbeddingPrecision::kFloat32;
   /// Mean-similarity prefilter: when > 0, CandidateStage keeps only the
   /// `mean_prefilter` candidates whose mean embeddings score highest
@@ -193,9 +189,10 @@ using EpochPin = std::shared_ptr<const EngineEpoch>;
 
 /// Owns the per-table FCM encodings (computed once, detached) plus both
 /// index structures; model and lake must outlive the engine (the lake is
-/// only read during Build — ingested tables are encoded and dropped).
+/// only read during BuildWithOptions — ingested tables are encoded and
+/// dropped).
 ///
-/// Lifecycle: Build/BuildWithOptions encodes the lake and freezes every
+/// Lifecycle: BuildWithOptions encodes the lake and freezes every
 /// index structure into flat columnar arrays (LSH CSR buckets, interval
 /// tree node arrays, one contiguous mean-embedding block), published as
 /// epoch 0. IngestBatch appends delta segments and publishes new epochs;
@@ -215,10 +212,9 @@ class SearchEngine {
   SearchEngine(const core::FcmModel* model, const table::DataLake* lake);
   ~SearchEngine();
 
-  /// Encodes every dataset and builds the interval tree + LSH index.
-  void Build(const LshConfig& lsh_config = {});
-
-  /// Build with full options (x-derivation indexing, thread count etc.).
+  /// Encodes every dataset and builds the interval tree + LSH index with
+  /// `options` (x-derivation indexing, thread count etc.; `{}` for the
+  /// defaults).
   void BuildWithOptions(const SearchEngineOptions& options);
 
   // ---- Live ingestion (writer side) ----
@@ -226,7 +222,7 @@ class SearchEngine {
   /// Appends `tables` to the served index as one immutable delta segment
   /// and publishes a new epoch. The tables are assigned the next dense
   /// ids (num_tables(), num_tables()+1, ...), encoded with the engine's
-  /// model, inserted into a fresh sharded LSH + interval-tree delta, and
+  /// model, indexed by a fresh LSH + interval-tree delta, and
   /// dropped — only their encodings are retained. In-flight readers keep
   /// their pinned epoch; new pins see the appended tables. Writers
   /// (IngestBatch / Compact) serialize among themselves; concurrent
@@ -237,7 +233,7 @@ class SearchEngine {
 
   /// Merges every segment of the current epoch into one fresh frozen
   /// base — the means blocks re-concatenated in table order and the LSH /
-  /// interval tree rebuilt exactly as a from-scratch Build over the same
+  /// interval tree rebuilt exactly as a from-scratch build over the same
   /// logical tables would, so rankings are unchanged (and SaveSnapshot
   /// works again). Encodings are shared, never recomputed. A no-op when
   /// the epoch is already compact. Publishes a new epoch; pinned readers
@@ -256,7 +252,7 @@ class SearchEngine {
   /// Delta segments in the current epoch (0 when compact).
   size_t num_delta_segments() const;
 
-  /// Current epoch id (0 after Build, +1 per published ingest/compact).
+  /// Current epoch id (0 after a build, +1 per published ingest/compact).
   uint64_t epoch_id() const;
 
   /// Persists the built engine — model weights, frozen LSH + interval
@@ -347,7 +343,7 @@ class SearchEngine {
   void EncodeStage(std::vector<StagedQuery>* staged,
                    StageTiming* timing = nullptr) const;
 
-  /// Stage 2 — candidate generation: one sharded LSH QueryBatch per
+  /// Stage 2 — candidate generation: one LSH QueryBatch per
   /// segment of the pinned epoch over every staged query that consults
   /// the LSH index, then the per-query merge (sorted ids, identical to
   /// the single-query path). `timing`, when given, receives the stage's
@@ -415,10 +411,10 @@ class SearchEngine {
                            std::vector<table::TableId>* candidates) const;
 
   /// Encodes `tables` (global ids first_id, first_id+1, ...) into one
-  /// frozen segment: entries + means block (+ int8 tier), sharded LSH
-  /// insert in table order, interval tree. The shared construction path
-  /// of Build and IngestBatch — a delta segment is built exactly like a
-  /// base, just over fewer tables.
+  /// frozen segment: entries + means block (+ int8 tier), LSH over the
+  /// means in table order, interval tree. The shared construction path
+  /// of BuildWithOptions and IngestBatch — a delta segment is built
+  /// exactly like a base, just over fewer tables.
   std::shared_ptr<const IndexSegment> BuildSegment(
       const std::vector<table::Table>& tables, table::TableId first_id,
       double* encode_seconds, double* interval_seconds,

@@ -1,6 +1,6 @@
 // Non-owning read-only view over a contiguous typed block — the access
 // primitive of the frozen storage layer. A Span can sit on top of a
-// heap-built std::vector (the build-then-Freeze lifecycle) or straight on
+// heap-built std::vector (an index frozen at construction) or straight on
 // an mmap'ed snapshot section; the query code consuming it cannot tell the
 // difference, which is what makes zero-copy serving possible.
 //

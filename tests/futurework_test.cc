@@ -244,9 +244,7 @@ TEST(MultiDatasetTest, DiscoverReturnsPerLineRankings) {
       &bench, extractor, config, /*num_sources=*/2);
   ASSERT_FALSE(queries.empty());
 
-  core::FcmConfig model_config;
-  model_config.epochs = 0;
-  core::FcmModel model(model_config);
+  core::FcmModel model{core::FcmConfig()};
 
   core::MultiDatasetOptions options;
   options.per_line_k = 3;

@@ -4,7 +4,9 @@
 // "optimization" that reorders a reduction, an encoder tweak, a quantizer
 // rounding change — fails tier-1 loudly instead of shipping. Ranked ids
 // must match exactly; scores within 1e-9 relative tolerance (the fixture
-// stores 17 significant digits, enough to round-trip a double).
+// stores 17 significant digits, enough to round-trip a double). A second
+// test pins a metamorphic relation over the same fixture: permuting the
+// lake permutes the ranking, with bit-identical scores.
 //
 // The fixtures are scalar-kernel goldens: ctest runs this binary with
 // FCM_SIMD=scalar and the fixture additionally forces the scalar kernel
@@ -15,12 +17,14 @@
 //   FCM_GOLDEN_UPDATE=1 FCM_GOLDEN_DIR=tests/golden ./golden_test
 // and commit the diff with the rationale.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,6 +220,43 @@ TEST_F(GoldenTest, LiveRankingsMatchCheckedInGoldens) {
     const double tolerance =
         kScoreTolerance * std::max(1.0, std::fabs(g.score));
     EXPECT_NEAR(g.score, l.score, tolerance) << "score drift at " << where;
+  }
+}
+
+TEST_F(GoldenTest, PermutingTheLakePermutesTheRanking) {
+  // Tables are scored one by one, so an engine over the reversed lake
+  // must return the same hits under the reversed ids, with bit-identical
+  // scores; only tied hits may swap. LSH buckets list payloads in item
+  // order, and this pins that the order cannot leak into candidate sets.
+  // The mean prefilter stays off: its tie-break depends on ids.
+  table::DataLake reversed;
+  for (int i = kTables - 1; i >= 0; --i) reversed.Add(lake_.tables()[i]);
+  for (const auto precision : {idx::EmbeddingPrecision::kFloat32,
+                               idx::EmbeddingPrecision::kInt8}) {
+    SCOPED_TRACE(idx::EmbeddingPrecisionName(precision));
+    idx::SearchEngineOptions options;
+    options.precision = precision;
+    idx::SearchEngine forward(model_.get(), &lake_);
+    idx::SearchEngine backward(model_.get(), &reversed);
+    forward.BuildWithOptions(options);
+    backward.BuildWithOptions(options);
+    for (const auto strategy : kAllStrategies) {
+      for (int q = 0; q < kQueries; ++q) {
+        const auto a = forward.Search(queries_[q], kTables, strategy);
+        const auto b = backward.Search(queries_[q], kTables, strategy);
+        ASSERT_EQ(a.size(), b.size());
+        std::vector<std::pair<int64_t, double>> a_hits, b_hits;
+        for (size_t r = 0; r < a.size(); ++r) {
+          EXPECT_EQ(a[r].score, b[r].score)
+              << StrategyToken(strategy) << " query " << q << " rank " << r;
+          a_hits.emplace_back(a[r].table_id, a[r].score);
+          b_hits.emplace_back(kTables - 1 - b[r].table_id, b[r].score);
+        }
+        std::sort(a_hits.begin(), a_hits.end());
+        std::sort(b_hits.begin(), b_hits.end());
+        EXPECT_EQ(a_hits, b_hits) << StrategyToken(strategy) << " query " << q;
+      }
+    }
   }
 }
 

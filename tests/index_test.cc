@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <map>
 
 #include "chart/renderer.h"
 #include "common/rng.h"
@@ -76,14 +76,37 @@ TEST(IntervalTreeTest, MemoryReported) {
   EXPECT_GT(tree.MemoryBytes(), 0u);
 }
 
+std::vector<std::vector<float>> RandomEmbeddings(int n, int dim,
+                                                 uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::vector<float>> out(static_cast<size_t>(n));
+  for (auto& v : out) {
+    v.resize(static_cast<size_t>(dim));
+    for (auto& x : v) x = static_cast<float>(rng.Normal());
+  }
+  return out;
+}
+
+/// Builds an index over `embeddings` with payloads[i] (item i's payload),
+/// or i when `payloads` is empty.
+RandomHyperplaneLsh BuildLsh(int dim, const LshConfig& config,
+                             const std::vector<std::vector<float>>& embeddings,
+                             const std::vector<int64_t>& payloads = {},
+                             int num_threads = 1) {
+  std::vector<LshItem> items;
+  for (size_t i = 0; i < embeddings.size(); ++i) {
+    items.push_back({embeddings[i].data(),
+                     payloads.empty() ? static_cast<int64_t>(i)
+                                      : payloads[i]});
+  }
+  common::ThreadPool pool(num_threads);
+  return RandomHyperplaneLsh(dim, config, items, &pool);
+}
+
 TEST(LshTest, SelfQueryCollides) {
-  LshConfig config;
-  RandomHyperplaneLsh lsh(16, config);
-  common::Rng rng(3);
-  std::vector<float> v(16);
-  for (auto& x : v) x = static_cast<float>(rng.Normal());
-  lsh.Insert(v, 42);
-  const auto hits = lsh.Query(v);
+  const auto v = RandomEmbeddings(1, 16, 3);
+  const auto lsh = BuildLsh(16, LshConfig(), v, {42});
+  const auto hits = lsh.Query(v[0]);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 42);
 }
@@ -93,12 +116,10 @@ TEST(LshTest, SimilarVectorsCollideMoreThanRandom) {
   config.num_bits = 10;
   config.num_tables = 2;
   config.probe_hamming1 = false;
-  RandomHyperplaneLsh lsh(32, config);
   common::Rng rng(4);
-
   std::vector<float> base(32);
   for (auto& x : base) x = static_cast<float>(rng.Normal());
-  lsh.Insert(base, 0);
+  const auto lsh = BuildLsh(32, config, {base});
 
   int near_hits = 0, far_hits = 0;
   const int trials = 60;
@@ -114,11 +135,8 @@ TEST(LshTest, SimilarVectorsCollideMoreThanRandom) {
 }
 
 TEST(LshTest, CodeIsStablePerTable) {
-  LshConfig config;
-  RandomHyperplaneLsh lsh(8, config);
-  common::Rng rng(5);
-  std::vector<float> v(8);
-  for (auto& x : v) x = static_cast<float>(rng.Normal());
+  const auto lsh = BuildLsh(8, LshConfig(), {});
+  const auto v = RandomEmbeddings(1, 8, 5)[0];
   EXPECT_EQ(lsh.Code(v, 0), lsh.Code(v, 0));
   // Different tables use different hyperplanes (almost surely different
   // codes for a random vector with 12 bits).
@@ -131,111 +149,98 @@ TEST(LshTest, Hamming1ProbingWidensRecall) {
   narrow.num_tables = 1;
   LshConfig wide = narrow;
   wide.probe_hamming1 = true;
-  RandomHyperplaneLsh a(16, narrow), b(16, wide);
-  common::Rng rng(6);
+  const auto items = RandomEmbeddings(40, 16, 6);
+  const auto a = BuildLsh(16, narrow, items);
+  const auto b = BuildLsh(16, wide, items);
+  common::Rng rng(7);
+  // A probe counts only when it finds its own item, so the wider probe's
+  // extra buckets cannot score by catching a different item.
   int a_hits = 0, b_hits = 0;
-  for (int i = 0; i < 40; ++i) {
-    std::vector<float> v(16), near(16);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    near = v;
+  for (size_t i = 0; i < items.size(); ++i) {
+    std::vector<float> near = items[i];
     for (auto& x : near) x += static_cast<float>(rng.Normal(0.0, 0.15));
-    a.Insert(v, i);
-    b.Insert(v, i);
-    if (!a.Query(near).empty()) ++a_hits;
-    if (!b.Query(near).empty()) ++b_hits;
+    const auto own = static_cast<int64_t>(i);
+    const auto a_found = a.Query(near), b_found = b.Query(near);
+    a_hits += std::binary_search(a_found.begin(), a_found.end(), own);
+    b_hits += std::binary_search(b_found.begin(), b_found.end(), own);
   }
   EXPECT_GE(b_hits, a_hits);
+  EXPECT_GT(b_hits, 0);
 }
 
-// ---- Sharded LSH: equivalence across shard counts and build paths ----
-
-std::vector<std::vector<float>> RandomEmbeddings(int n, int dim,
-                                                 uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<std::vector<float>> out(static_cast<size_t>(n));
-  for (auto& v : out) {
-    v.resize(static_cast<size_t>(dim));
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
+TEST(LshTest, FrozenArraysMatchNaiveReference) {
+  // Few bits and three items per payload make buckets that hold several
+  // payloads and adjacent duplicates to drop.
+  LshConfig config;
+  config.num_bits = 3;
+  config.num_tables = 3;
+  const auto embeddings = RandomEmbeddings(90, 16, 21);
+  std::vector<int64_t> payloads;
+  for (size_t i = 0; i < embeddings.size(); ++i) {
+    payloads.push_back(static_cast<int64_t>(i / 3));
   }
-  return out;
-}
-
-TEST(LshShardTest, ShardCountDoesNotChangeQueryResults) {
-  const auto items = RandomEmbeddings(200, 24, 11);
-  const auto queries = RandomEmbeddings(40, 24, 12);
-  std::vector<std::vector<std::vector<int64_t>>> per_shard_results;
-  for (int shards : {1, 2, 8}) {
-    LshConfig config;
-    config.num_bits = 10;
-    config.num_shards = shards;
-    RandomHyperplaneLsh lsh(24, config);
-    EXPECT_EQ(lsh.num_shards(), shards);
-    for (size_t i = 0; i < items.size(); ++i) {
-      lsh.Insert(items[i], static_cast<int64_t>(i % 50));
+  for (int threads : {1, 4}) {
+    const auto lsh = BuildLsh(16, config, embeddings, payloads, threads);
+    EXPECT_EQ(lsh.num_items(), embeddings.size());
+    std::vector<uint64_t> table_begin, codes, payload_begin;
+    std::vector<int64_t> flat;
+    size_t max_bucket = 0;
+    for (int t = 0; t < config.num_tables; ++t) {
+      // Codes ascending; each bucket's payloads in item order with
+      // adjacent duplicates dropped.
+      std::map<uint64_t, std::vector<int64_t>> buckets;
+      for (size_t i = 0; i < embeddings.size(); ++i) {
+        auto& bucket = buckets[lsh.Code(embeddings[i], t)];
+        if (bucket.empty() || bucket.back() != payloads[i]) {
+          bucket.push_back(payloads[i]);
+        }
+      }
+      table_begin.push_back(codes.size());
+      for (const auto& [code, bucket] : buckets) {
+        codes.push_back(code);
+        payload_begin.push_back(flat.size());
+        flat.insert(flat.end(), bucket.begin(), bucket.end());
+        max_bucket = std::max(max_bucket, bucket.size());
+      }
     }
-    std::vector<std::vector<int64_t>> results;
-    for (const auto& q : queries) results.push_back(lsh.Query(q));
-    per_shard_results.push_back(std::move(results));
-  }
-  EXPECT_EQ(per_shard_results[0], per_shard_results[1]);
-  EXPECT_EQ(per_shard_results[0], per_shard_results[2]);
-}
+    table_begin.push_back(codes.size());
+    payload_begin.push_back(flat.size());
+    EXPECT_GT(max_bucket, 1u);
+    EXPECT_LT(flat.size(), embeddings.size() * config.num_tables);
 
-TEST(LshShardTest, InsertBatchMatchesSerialInserts) {
-  const auto items = RandomEmbeddings(150, 16, 21);
-  const auto queries = RandomEmbeddings(30, 16, 22);
-  LshConfig config;
-  config.num_shards = 4;
-  RandomHyperplaneLsh serial(16, config), batched(16, config);
-  std::vector<LshInsertItem> batch;
-  for (size_t i = 0; i < items.size(); ++i) {
-    const auto payload = static_cast<int64_t>(i / 3);  // Columns per table.
-    serial.Insert(items[i], payload);
-    batch.push_back({items[i].data(), payload});
-  }
-  common::ThreadPool pool(4);
-  batched.InsertBatch(batch, &pool);
-  EXPECT_EQ(batched.num_items(), serial.num_items());
-  EXPECT_EQ(batched.MemoryBytes(), serial.MemoryBytes());
-  for (const auto& q : queries) {
-    EXPECT_EQ(batched.Query(q), serial.Query(q));
+    const auto& frozen = lsh.frozen();
+    EXPECT_EQ(frozen.table_begin.ToVector(), table_begin) << threads;
+    EXPECT_EQ(frozen.codes.ToVector(), codes) << threads;
+    EXPECT_EQ(frozen.payload_begin.ToVector(), payload_begin) << threads;
+    EXPECT_EQ(frozen.payloads.ToVector(), flat) << threads;
   }
 }
 
-TEST(LshShardTest, QueryBatchMatchesQuery) {
-  const auto items = RandomEmbeddings(120, 16, 31);
+TEST(LshTest, QueryBatchMatchesQuery) {
+  const auto lsh = BuildLsh(16, LshConfig(), RandomEmbeddings(120, 16, 31));
   const auto queries = RandomEmbeddings(25, 16, 32);
-  LshConfig config;
-  config.num_shards = 8;
-  RandomHyperplaneLsh lsh(16, config);
-  for (size_t i = 0; i < items.size(); ++i) {
-    lsh.Insert(items[i], static_cast<int64_t>(i));
-  }
   common::ThreadPool pool(4);
   const auto batched = lsh.QueryBatch(queries, &pool);
-  const auto serial = lsh.QueryBatch(queries, nullptr);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(batched[i], lsh.Query(queries[i])) << "query " << i;
-    EXPECT_EQ(serial[i], batched[i]) << "query " << i;
   }
 }
 
-TEST(LshTest, AdjacentDuplicatePayloadsDeduped) {
-  // Two columns of one table hashing to the same bucket used to append the
-  // payload twice, inflating MemoryBytes and probe cost with no effect on
-  // (deduplicating) queries.
+TEST(LshTest, FromFrozenRejectsOffsetsPastTheCodes) {
+  // Snapshot bytes are outside input: a table range running past the code
+  // array must fail validation before any code is read through it.
   LshConfig config;
-  config.num_shards = 1;
-  RandomHyperplaneLsh once(16, config), twice(16, config);
-  common::Rng rng(41);
-  std::vector<float> v(16);
-  for (auto& x : v) x = static_cast<float>(rng.Normal());
-  once.Insert(v, 7);
-  twice.Insert(v, 7);
-  twice.Insert(v, 7);  // Same code in every table, same payload.
-  EXPECT_EQ(twice.MemoryBytes(), once.MemoryBytes());
-  EXPECT_EQ(twice.Query(v), once.Query(v));
+  config.num_bits = 2;
+  config.num_tables = 2;
+  const std::vector<float> planes(2 * 2 * 4, 1.0f);
+  const std::vector<uint64_t> table_begin = {0, 5, 2}, codes = {1, 2};
+  const std::vector<uint64_t> payload_begin = {0, 1, 2};
+  const std::vector<int64_t> payloads = {0, 1};
+  const auto lsh = RandomHyperplaneLsh::FromFrozen(
+      4, config, 2, {planes, table_begin, codes, payload_begin, payloads});
+  ASSERT_FALSE(lsh.ok());
+  EXPECT_EQ(lsh.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 // ---- Search engine over a small trained-free setup ----
@@ -267,7 +272,7 @@ class SearchEngineTest : public ::testing::Test {
     config.data_segment_size = 16;
     model_ = std::make_unique<core::FcmModel>(config);
     engine_ = std::make_unique<SearchEngine>(model_.get(), &lake_);
-    engine_->Build();
+    engine_->BuildWithOptions({});
 
     const auto& src = lake_.Get(2);
     table::DataSeries d;
@@ -407,7 +412,7 @@ class ParallelSearchEngineTest : public ::testing::Test {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].table_id, b[i].table_id) << "rank " << i;
       // Bit-identical: every path runs the same stage code, so thread
-      // count, shard count and batching may not move a single bit.
+      // count and batching may not move a single bit.
       EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
     }
   }
@@ -512,32 +517,6 @@ TEST_F(ParallelSearchEngineTest, RepeatedSearchIsDeterministic) {
       ExpectSameHits(first, second);
       for (SearchEngine* engine : {serial_.get(), parallel_.get()}) {
         ExpectSameHits(first, engine->Search(query, k, strategy));
-      }
-    }
-  }
-}
-
-TEST_F(ParallelSearchEngineTest, ShardCountDoesNotChangeResults) {
-  // num_shards ∈ {1, 2, 8} must yield identical candidate sets and hit
-  // order (1 is the legacy unsharded layout).
-  const int k = static_cast<int>(lake_.size());
-  std::vector<std::unique_ptr<SearchEngine>> engines;
-  for (int shards : {1, 2, 8}) {
-    SearchEngineOptions options;
-    options.num_threads = 4;
-    options.lsh.num_shards = shards;
-    auto engine = std::make_unique<SearchEngine>(model_.get(), &lake_);
-    engine->BuildWithOptions(options);
-    engines.push_back(std::move(engine));
-  }
-  for (const auto strategy : {IndexStrategy::kLsh, IndexStrategy::kHybrid}) {
-    for (const auto& query : queries_) {
-      QueryStats base_stats;
-      const auto base = engines[0]->Search(query, k, strategy, &base_stats);
-      for (size_t e = 1; e < engines.size(); ++e) {
-        QueryStats stats;
-        ExpectSameHits(base, engines[e]->Search(query, k, strategy, &stats));
-        EXPECT_EQ(stats.candidates_scored, base_stats.candidates_scored);
       }
     }
   }

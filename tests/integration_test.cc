@@ -70,7 +70,7 @@ TEST_F(PipelineTest, TrainedModelBeatsInvertedRanking) {
   // The trained model's ranking must be no worse than the anti-ranking
   // (sanity floor: scores carry signal, not noise).
   index::SearchEngine engine(model_, &bench_->lake);
-  engine.Build();
+  engine.BuildWithOptions({});
   double prec = 0.0, anti = 0.0;
   for (const auto& q : bench_->queries) {
     const auto hits =
@@ -93,9 +93,9 @@ TEST_F(PipelineTest, SearchAfterSaveLoadIsIdentical) {
   std::remove(path.c_str());
 
   index::SearchEngine original(model_, &bench_->lake);
-  original.Build();
+  original.BuildWithOptions({});
   index::SearchEngine reloaded(&restored, &bench_->lake);
-  reloaded.Build();
+  reloaded.BuildWithOptions({});
   const auto& q = bench_->queries.front();
   const auto a = original.Search(q.extracted, 5,
                                  index::IndexStrategy::kNoIndex);
@@ -142,7 +142,7 @@ TEST_F(PipelineTest, XDerivationIndexingFindsShuffledTable) {
   const auto tid = lake.Add(std::move(shuffled));
 
   index::SearchEngine plain(model_, &lake);
-  plain.Build();
+  plain.BuildWithOptions({});
   index::SearchEngineOptions options;
   options.index_x_derivations = true;
   index::SearchEngine derived(model_, &lake);

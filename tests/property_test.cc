@@ -13,6 +13,7 @@
 #include "chart/renderer.h"
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "index/interval_tree.h"
 #include "index/lsh.h"
 #include "relevance/dtw.h"
@@ -221,14 +222,16 @@ TEST(LshPropertyTest, CollisionRateIncreasesWithCosineSimilarity) {
   index::LshConfig config;
   config.num_bits = 10;
   config.num_tables = 4;
-  index::RandomHyperplaneLsh lsh(dim, config);
 
   std::vector<std::vector<float>> base(40);
+  std::vector<index::LshItem> items;
   for (size_t i = 0; i < base.size(); ++i) {
     base[i].resize(dim);
     for (auto& v : base[i]) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-    lsh.Insert(base[i], static_cast<int64_t>(i));
+    items.push_back({base[i].data(), static_cast<int64_t>(i)});
   }
+  common::ThreadPool pool(1);
+  const index::RandomHyperplaneLsh lsh(dim, config, items, &pool);
 
   int near_hits = 0, random_hits = 0;
   for (size_t i = 0; i < base.size(); ++i) {
@@ -258,7 +261,8 @@ TEST(LshPropertyTest, CollisionRateIncreasesWithCosineSimilarity) {
 TEST(LshPropertyTest, CodeIsDeterministicPerTable) {
   common::Rng rng(99);
   index::LshConfig config;
-  index::RandomHyperplaneLsh lsh(8, config);
+  common::ThreadPool pool(1);
+  const index::RandomHyperplaneLsh lsh(8, config, {}, &pool);
   std::vector<float> v(8);
   for (auto& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
   for (int t = 0; t < config.num_tables; ++t) {

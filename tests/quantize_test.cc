@@ -6,7 +6,7 @@
 // the mean-similarity prefilter caps candidates deterministically in
 // both precision modes; at the default embed_dim the int8 block is at
 // most 0.30x the f32 bytes and int8 top-k keeps >= 0.95 of the f32
-// top-k; and a snapshot whose meta lacks the engine-meta v2 block is
+// top-k; and a snapshot whose meta stream lacks its leading version is
 // rejected.
 
 #include "common/quantize.h"
@@ -272,13 +272,13 @@ TEST_F(Int8EngineTest, Int8SnapshotCarriesNoF32MeansSection) {
   std::remove(path.c_str());
 }
 
-TEST_F(Int8EngineTest, SnapshotWithoutEngineMetaBlockFailsOpen) {
-  // Rebuild a saved snapshot with its meta stream cut before the
-  // engine-meta v2 block (3 u32 fields), as snapshots from before the
-  // quantized tier were written. Nothing would say which precision or
-  // prefilter the engine served with, so the open must fail.
+TEST_F(Int8EngineTest, SnapshotMetaWithoutVersionFailsOpen) {
+  // Rebuild a saved snapshot with the leading version cut from its meta
+  // stream, which then starts with the u64 table count as v1 and v2
+  // streams did. Nothing would say how to parse the rest, so the open must
+  // fail instead of misreading the fields.
   const auto built = BuildEngine(idx::EmbeddingPrecision::kFloat32, 0, 1);
-  const std::string path = TempPath("v2.fcmsnap");
+  const std::string path = TempPath("v3.fcmsnap");
   ASSERT_TRUE(built->SaveSnapshot(path).ok());
   auto reader = storage::SnapshotReader::Open(path);
   ASSERT_TRUE(reader.ok());
@@ -286,22 +286,24 @@ TEST_F(Int8EngineTest, SnapshotWithoutEngineMetaBlockFailsOpen) {
   for (const auto& name : reader.value()->section_names()) {
     auto bytes = reader.value()->Section(name);
     ASSERT_TRUE(bytes.ok());
+    const uint8_t* data = bytes.value().data();
     size_t size = bytes.value().size();
     if (name == "meta") {
-      ASSERT_GT(size, 3 * sizeof(uint32_t));
-      size -= 3 * sizeof(uint32_t);
+      ASSERT_GT(size, sizeof(uint32_t));
+      data += sizeof(uint32_t);
+      size -= sizeof(uint32_t);
     }
-    writer.AddSection(name, bytes.value().data(), size);
+    writer.AddSection(name, data, size);
   }
-  const std::string v1_path = TempPath("v1.fcmsnap");
-  ASSERT_TRUE(writer.WriteToFile(v1_path).ok());
+  const std::string unversioned_path = TempPath("unversioned.fcmsnap");
+  ASSERT_TRUE(writer.WriteToFile(unversioned_path).ok());
 
-  auto opened = idx::SearchEngine::OpenSnapshot(v1_path);
+  auto opened = idx::SearchEngine::OpenSnapshot(unversioned_path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), common::StatusCode::kInvalidArgument)
       << opened.status().ToString();
   std::remove(path.c_str());
-  std::remove(v1_path.c_str());
+  std::remove(unversioned_path.c_str());
 }
 
 // ---- The int8 tier at the default embedding width ----

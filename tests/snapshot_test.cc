@@ -75,7 +75,7 @@ class EngineSnapshotTest : public ::testing::Test {
     config.data_segment_size = 16;
     model_ = std::make_unique<core::FcmModel>(config);
     engine_ = std::make_unique<SearchEngine>(model_.get(), &lake_);
-    engine_->Build();
+    engine_->BuildWithOptions({});
 
     vision::MaskOracleExtractor oracle;
     for (int q = 0; q < 3; ++q) {
@@ -105,6 +105,38 @@ class EngineSnapshotTest : public ::testing::Test {
   std::vector<vision::ExtractedChart> queries_;
   std::string path_;
 };
+
+TEST_F(EngineSnapshotTest, Version2MetaFailsOpenNamingIt) {
+  // Re-save the snapshot with the meta stream's leading version replaced
+  // by 2, then in the v2 layout: no leading version, and a trailing
+  // {version 2, precision, mean_prefilter} block.
+  static constexpr uint32_t kV2[3] = {2, 0, 0};
+  const auto* v2 = reinterpret_cast<const uint8_t*>(kV2);
+  for (const bool v2_layout : {false, true}) {
+    auto reader = storage::SnapshotReader::Open(path_);
+    ASSERT_TRUE(reader.ok());
+    storage::SnapshotWriter writer;
+    for (const auto& name : reader.value()->section_names()) {
+      std::vector<uint8_t> data =
+          reader.value()->Section(name).value().ToVector();
+      if (name == "meta") {
+        data.erase(data.begin(), data.begin() + sizeof(uint32_t));
+        data.insert(v2_layout ? data.end() : data.begin(), v2,
+                    v2 + (v2_layout ? sizeof(kV2) : sizeof(uint32_t)));
+      }
+      writer.AddSection(name, data.data(), data.size());
+    }
+    const std::string v2_path = TempPath("v2.fcmsnap");
+    ASSERT_TRUE(writer.WriteToFile(v2_path).ok());
+    auto opened = SearchEngine::OpenSnapshot(v2_path);
+    std::remove(v2_path.c_str());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("meta version 2"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
 
 TEST_F(EngineSnapshotTest, SaveRequiresBuiltEngine) {
   SearchEngine unbuilt(model_.get(), &lake_);

@@ -109,34 +109,6 @@ TEST(ThreadPoolTest, DefaultSizeUsesHardware) {
   EXPECT_GE(pool.num_threads(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForShardedRoutesEveryIndexInOrder) {
-  ThreadPool pool(4);
-  const size_t n = 10000, shards = 7;
-  // Each shard's vector is mutated lock-free: exclusive shard ownership is
-  // the contract under test (TSan would flag a violation).
-  std::vector<std::vector<size_t>> got(shards);
-  pool.ParallelForSharded(
-      n, shards, [](size_t i) { return i % 7; },
-      [&](size_t s, size_t i) { got[s].push_back(i); });
-  for (size_t s = 0; s < shards; ++s) {
-    std::vector<size_t> expected;
-    for (size_t i = s; i < n; i += 7) expected.push_back(i);
-    EXPECT_EQ(got[s], expected) << "shard " << s;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForShardedMatchesSerialState) {
-  auto run = [](ThreadPool& pool) {
-    std::vector<long> sums(5, 0);
-    pool.ParallelForSharded(
-        2000, 5, [](size_t i) { return (i * 31) % 5; },
-        [&](size_t s, size_t i) { sums[s] += static_cast<long>(i); });
-    return sums;
-  };
-  ThreadPool serial(1), parallel(8);
-  EXPECT_EQ(run(serial), run(parallel));
-}
-
 TEST(ThreadPoolTest, ConcurrentOwnersEachSeeTheirOwnBatch) {
   // Several owner threads drive ParallelFors through one pool at once (the
   // async pipeline's shape: every stage thread is an owner). Each owner's
@@ -214,34 +186,6 @@ TEST(ThreadPoolTest, ConcurrentOwnersSurviveOneOwnersException) {
   EXPECT_EQ(after.load(), 64);
 }
 
-TEST(ThreadPoolTest, ConcurrentShardedAndPlainOwners) {
-  ThreadPool pool(4);
-  std::vector<long> shard_sums(4, 0);
-  std::atomic<long> plain_sum{0};
-  std::thread sharded_owner([&]() {
-    for (int round = 0; round < 8; ++round) {
-      std::vector<long> sums(4, 0);
-      pool.ParallelForSharded(
-          1000, 4, [](size_t i) { return i % 4; },
-          [&](size_t s, size_t i) { sums[s] += static_cast<long>(i); });
-      shard_sums = sums;
-    }
-  });
-  std::thread plain_owner([&]() {
-    for (int round = 0; round < 8; ++round) {
-      pool.ParallelFor(1000, [&](size_t i) {
-        plain_sum.fetch_add(static_cast<long>(i));
-      });
-    }
-  });
-  sharded_owner.join();
-  plain_owner.join();
-  long expected_shard_total = 0;
-  for (long s : shard_sums) expected_shard_total += s;
-  EXPECT_EQ(expected_shard_total, 1000L * 999 / 2);
-  EXPECT_EQ(plain_sum.load(), 8L * (1000L * 999 / 2));
-}
-
 TEST(ThreadPoolTest, TaskFailpointPropagatesToOwner) {
   // The `threadpool.task` site fires inside worker task bodies; the pool
   // must surface the injected fault to the owning ParallelFor caller and
@@ -300,15 +244,6 @@ TEST(ThreadPoolTest, ConcurrentOwnersSurviveInjectedTaskFaults) {
   std::atomic<int> after{0};
   pool.ParallelFor(64, [&](size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 64);
-}
-
-TEST(ThreadPoolTest, ParallelForShardedZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.ParallelForSharded(
-      0, 4, [](size_t) { return size_t{0}; },
-      [&](size_t, size_t) { ran = true; });
-  EXPECT_FALSE(ran);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #   1. every intra-repo markdown link in docs/*.md and README.md must
 #      resolve (relative to the file containing it);
 #   2. every src/ subdirectory must appear (as `src/<name>`) in
-#      docs/ARCHITECTURE.md — a new subsystem lands with its map entry.
+#      docs/ARCHITECTURE.md — a new subsystem lands with its map entry;
+#   3. every `*.md` file named in a `//` comment of a .h/.cc/.cpp file
+#      under src/, bench/, tests/, examples/ or tools/ must exist, relative
+#      to the repo root or to docs/.
 # External links (http/https/mailto) and pure #anchors are not checked.
 # Usage: tools/check_docs.sh [repo_root]
 set -euo pipefail
@@ -55,6 +58,18 @@ if [[ -f "$ARCH" ]]; then
     fi
   done
 fi
+
+# Only the text after a line's first `//` is read, so a string literal
+# before it is not taken for a citation.
+while IFS=: read -r file line text; do
+  comment="${text#*//}"
+  for name in $(grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md' <<< "$comment"); do
+    [[ -e "$REPO_ROOT/$name" || -e "$REPO_ROOT/docs/$name" ]] && continue
+    echo "check_docs: $file:$line cites missing $name" >&2
+    fail=1
+  done
+done < <(cd "$REPO_ROOT" && grep -rnE --include='*.h' --include='*.cc' \
+           --include='*.cpp' '//.*\.md' src bench tests examples tools || true)
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED" >&2

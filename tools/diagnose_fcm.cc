@@ -78,7 +78,7 @@ void Run() {
   std::printf("lake=%zu queries=%zu triplets=%zu\n", b.lake.size(),
               b.queries.size(), b.training.size());
 
-  core::FcmConfig config = bench::DefaultModelConfig(scale);
+  core::FcmConfig config;
   core::FcmModel model(config);
   core::TrainOptions options = bench::DefaultTrainOptions(scale);
 

@@ -31,10 +31,10 @@ int Build(const std::string& path) {
   const bench::BenchScale scale = bench::ReadScale();
   std::printf("building synthetic lake (FCM_SCALE-dependent)...\n");
   benchgen::Benchmark b = bench::BuildBench(scale);
-  core::FcmConfig config = bench::DefaultModelConfig(scale);
+  core::FcmConfig config;
   core::FcmModel model(config);
   index::SearchEngine engine(&model, &b.lake);
-  engine.Build();
+  engine.BuildWithOptions({});
   std::printf("built engine over %zu tables\n", b.lake.size());
   const common::Status s = engine.SaveSnapshot(path);
   if (!s.ok()) {
