@@ -8,15 +8,17 @@
 
 namespace fcm::common {
 
-// One ParallelFor invocation. Workers claim contiguous index chunks with a
-// single fetch_add; the batch stays on the pending deque until exhausted so
-// every idle worker can join it. `fn` is only dereferenced for indices
-// claimed while next < n, and the owner blocks until next >= n with no
-// worker inside, so the pointer never outlives the call — a worker that
-// grabbed the batch just before exhaustion claims nothing and leaves.
+// One ParallelFor invocation. Workers claim contiguous index chunks by
+// compare-exchange on `next`, each claim guided: max(1, remaining /
+// claim_divisor) indices, so claims shrink as the batch drains and the
+// last ones hold a single index each. The batch stays on the pending
+// deque until exhausted so every idle worker can join it. `fn` is only dereferenced for indices claimed while
+// next < n, and the owner blocks until next >= n with no worker inside,
+// so the pointer never outlives the call — a worker that grabbed the
+// batch just before exhaustion claims nothing and leaves.
 struct ThreadPool::Batch {
   size_t n = 0;
-  size_t chunk = 1;
+  size_t claim_divisor = 1;  // 2 x num_threads.
   const std::function<void(size_t)>* fn = nullptr;
   std::atomic<size_t> next{0};
   /// Workers currently inside RunBatch. Read lock-free by the scheduler
@@ -88,10 +90,12 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::RunBatch(const std::shared_ptr<Batch>& batch) {
   batch->active.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    const size_t start = batch->next.fetch_add(batch->chunk);
-    if (start >= batch->n) break;
-    const size_t end = std::min(batch->n, start + batch->chunk);
+  size_t start = batch->next.load();
+  while (start < batch->n) {
+    const size_t end =
+        start + std::max<size_t>(1, (batch->n - start) / batch->claim_divisor);
+    // A failed exchange reloads `start`; retry on the smaller remainder.
+    if (!batch->next.compare_exchange_weak(start, end)) continue;
     try {
       // Fault-injection site for task bodies: an armed failpoint here
       // exercises the pool's exception path (first error wins, remaining
@@ -105,6 +109,7 @@ void ThreadPool::RunBatch(const std::shared_ptr<Batch>& batch) {
       batch->next.store(batch->n);  // Abandon the remaining iterations.
       break;
     }
+    start = batch->next.load();
   }
   {
     // The decrement must happen under mu: the owner's completion wait
@@ -126,9 +131,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->fn = &fn;
-  // ~4 chunks per thread balances load without contending on every index.
-  batch->chunk = std::max<size_t>(
-      1, n / (static_cast<size_t>(num_threads_) * 4));
+  // Each claim takes 1/(2T) of what remains: early claims are large enough
+  // to keep contention low, and the tail drains in single indices, so no
+  // thread idles at the owner's barrier behind one large final chunk.
+  batch->claim_divisor = 2 * static_cast<size_t>(num_threads_);
   {
     MutexLock lk(&mu_);
     pending_.push_back(batch);

@@ -1,17 +1,17 @@
-// Fixed-size worker pool with a deterministic ParallelFor/ParallelMap:
-// work items are identified by index, results land in index order, and the
-// computation per index is byte-identical to a serial loop — parallelism
-// only changes wall-clock time, never output. Used by the search engine to
-// fan out per-table encoding and candidate scoring, and by the async
-// serving pipeline whose stage threads dispatch onto one shared pool.
+// Fixed-size worker pool with a deterministic ParallelFor: work items are
+// identified by index, and the computation per index is byte-identical to
+// a serial loop — parallelism only changes wall-clock time, never output.
+// Used by the search engine to fan out per-table encoding and candidate
+// scoring.
 //
 // Concurrency contract: ParallelFor may be called concurrently from any
-// number of owner threads, and re-entrantly from inside a worker
-// iteration. Every owner participates in its own batch, so an owner always
-// makes progress even when all workers are busy elsewhere; idle workers
-// spread across the in-flight batches (least-helped first) instead of
-// queuing behind the oldest one, which is what lets pipeline stages
-// overlap instead of serializing.
+// number of owner threads — the async service's dispatcher, ingest
+// writers, concurrent Search callers — and re-entrantly from inside a
+// worker iteration. Every owner participates in its own batch, so an
+// owner always makes progress even when all workers are busy elsewhere;
+// idle workers spread across the in-flight batches (least-helped first)
+// instead of queuing behind the oldest one, so a writer's encode burst
+// and a reader's batch share the workers.
 
 #ifndef FCM_COMMON_THREAD_POOL_H_
 #define FCM_COMMON_THREAD_POOL_H_
@@ -49,15 +49,6 @@ class ThreadPool {
   /// file comment); fn must not block waiting on another ParallelFor's
   /// *result* produced outside this call, only on pool progress.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Deterministic map: out[i] = fn(i), in index order regardless of the
-  /// execution schedule.
-  template <typename T, typename Fn>
-  std::vector<T> ParallelMap(size_t n, Fn&& fn) {
-    std::vector<T> out(n);
-    ParallelFor(n, [&](size_t i) { out[i] = fn(i); });
-    return out;
-  }
 
  private:
   struct Batch;  // One ParallelFor invocation in flight.

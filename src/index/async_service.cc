@@ -38,7 +38,7 @@ const char* BreakerStateName(BreakerState s) {
   return "unknown";
 }
 
-/// One accepted request travelling through the pipeline.
+/// One accepted request, from admission until its future settles.
 struct AsyncSearchService::Request {
   vision::ExtractedChart query;
   int k = 0;
@@ -64,67 +64,13 @@ struct AsyncSearchService::MicroBatch {
   EpochPin epoch;
 };
 
-// Bounded stage hand-off. Depth 2 keeps at most one batch queued behind
-// the one a stage is working on: enough to decouple the stages (the whole
-// point of the pipeline) without letting an infinite tail of admitted
-// work pile up between them — backpressure reaches Submit through the
-// dispatcher blocking here.
-class AsyncSearchService::StageChannel {
- public:
-  static constexpr size_t kDepth = 2;
-
-  /// Blocks while the channel is full. Never called after Close.
-  void Push(std::unique_ptr<MicroBatch> batch) {
-    common::MutexLock lk(&mu_);
-    cv_space_.Wait(&mu_, [this]() FCM_NO_THREAD_SAFETY_ANALYSIS {
-      return batches_.size() < kDepth;
-    });
-    batches_.push_back(std::move(batch));
-    lk.Unlock();
-    cv_data_.NotifyOne();
-  }
-
-  /// Blocks until a batch or Close; nullptr means closed and drained.
-  std::unique_ptr<MicroBatch> Pop() {
-    common::MutexLock lk(&mu_);
-    cv_data_.Wait(&mu_, [this]() FCM_NO_THREAD_SAFETY_ANALYSIS {
-      return closed_ || !batches_.empty();
-    });
-    if (batches_.empty()) return nullptr;
-    auto batch = std::move(batches_.front());
-    batches_.pop_front();
-    lk.Unlock();
-    cv_space_.NotifyOne();
-    return batch;
-  }
-
-  /// Marks the upstream stage done; queued batches still drain.
-  void Close() {
-    {
-      common::MutexLock lk(&mu_);
-      closed_ = true;
-    }
-    cv_data_.NotifyAll();
-  }
-
- private:
-  common::Mutex mu_;
-  common::CondVar cv_space_, cv_data_;
-  std::deque<std::unique_ptr<MicroBatch>> batches_ FCM_GUARDED_BY(mu_);
-  bool closed_ FCM_GUARDED_BY(mu_) = false;
-};
-
 AsyncSearchService::AsyncSearchService(const SearchEngine* engine,
                                        const AsyncServiceOptions& options)
     : engine_(engine), options_(options) {
   FCM_CHECK(engine_ != nullptr);
   FCM_CHECK_GT(options_.queue_capacity, 0u);
   FCM_CHECK_GT(options_.max_batch_size, 0u);
-  encode_to_candidates_ = std::make_unique<StageChannel>();
-  candidates_to_score_ = std::make_unique<StageChannel>();
   dispatch_thread_ = std::thread([this]() { DispatchLoop(); });
-  candidate_thread_ = std::thread([this]() { CandidateLoop(); });
-  score_thread_ = std::thread([this]() { ScoreLoop(); });
 }
 
 AsyncSearchService::AsyncSearchService(SearchEngine* engine,
@@ -223,21 +169,9 @@ std::future<std::vector<SearchHit>> AsyncSearchService::Submit(
   return future;
 }
 
-std::vector<std::future<std::vector<SearchHit>>>
-AsyncSearchService::SubmitBatch(std::vector<vision::ExtractedChart> queries,
-                                int k, IndexStrategy strategy,
-                                Deadline deadline) {
-  std::vector<std::future<std::vector<SearchHit>>> futures;
-  futures.reserve(queries.size());
-  for (auto& query : queries) {
-    futures.push_back(Submit(std::move(query), k, strategy, deadline));
-  }
-  return futures;
-}
-
 void AsyncSearchService::DispatchLoop() {
   for (;;) {
-    auto batch = std::make_unique<MicroBatch>();
+    MicroBatch batch;
     bool retire = false;
     {
       common::MutexLock lk(&mu_);
@@ -246,7 +180,7 @@ void AsyncSearchService::DispatchLoop() {
       });
       if (cancel_) {
         // Shutdown(false): fail everything still queued, deterministically
-        // in queue order, then retire the pipeline.
+        // in queue order, then retire the dispatcher.
         while (!queue_.empty()) {
           Request request = std::move(queue_.front());
           queue_.pop_front();
@@ -256,8 +190,8 @@ void AsyncSearchService::DispatchLoop() {
         }
         retire = true;
       } else {
-        // Shed requests that expired while queued before spending a
-        // pipeline pass on them.
+        // Shed requests that expired while queued before spending any
+        // stage work on them.
         const auto now = Clock::now();
         while (!queue_.empty() && queue_.front().deadline <= now) {
           Request request = std::move(queue_.front());
@@ -273,12 +207,12 @@ void AsyncSearchService::DispatchLoop() {
           // the batch-size cap; a nonzero max_batch_delay_ms also waits
           // that long, measured from the moment the batch starts forming,
           // for more. A request's queueing latency is therefore bounded by
-          // the delay knob plus pipeline occupancy.
+          // the delay knob plus the batches served ahead of it.
           const auto window_end =
               Clock::now() + MsToDuration(options_.max_batch_delay_ms);
-          batch->requests.push_back(std::move(queue_.front()));
+          batch.requests.push_back(std::move(queue_.front()));
           queue_.pop_front();
-          while (batch->requests.size() < options_.max_batch_size) {
+          while (batch.requests.size() < options_.max_batch_size) {
             if (queue_.empty()) {
               if (stopping_ ||
                   !cv_data_.WaitUntil(
@@ -298,79 +232,53 @@ void AsyncSearchService::DispatchLoop() {
               request.promise.set_exception(DeadlineError("before dispatch"));
               continue;
             }
-            batch->requests.push_back(std::move(queue_.front()));
+            batch.requests.push_back(std::move(queue_.front()));
             queue_.pop_front();
           }
           ++batches_;
-          max_coalesced_ = std::max(max_coalesced_, batch->requests.size());
+          max_coalesced_ = std::max(max_coalesced_, batch.requests.size());
         }
       }
     }
     cv_space_.NotifyAll();  // Freed queue slots.
     if (retire) break;
-    if (batch->requests.empty()) continue;
-
-    RestageBatch(batch.get());
-    // Pin this batch's index generation before any stage runs: the whole
-    // pipeline pass — including singleton recovery re-runs — serves from
-    // this epoch, whatever Ingest/Compact publishes meanwhile.
-    batch->epoch = engine_->PinEpoch();
-    try {
-      FCM_FAILPOINT("async.dispatch");
-      engine_->EncodeStage(&batch->staged);
-    } catch (...) {
-      RecoverBatch(batch.get());
-      continue;
-    }
-    encode_to_candidates_->Push(std::move(batch));
+    if (!batch.requests.empty()) ServeBatch(&batch);
   }
-  encode_to_candidates_->Close();
   cv_space_.NotifyAll();  // Unblock kBlock submitters racing the shutdown.
 }
 
-void AsyncSearchService::CandidateLoop() {
-  for (;;) {
-    auto batch = encode_to_candidates_->Pop();
-    if (batch == nullptr) break;
-    ShedExpired(batch.get());
-    if (batch->requests.empty()) continue;
-    try {
-      engine_->CandidateStage(&batch->staged, nullptr, batch->epoch);
-    } catch (...) {
-      RecoverBatch(batch.get());
-      continue;
-    }
-    candidates_to_score_->Push(std::move(batch));
+void AsyncSearchService::ServeBatch(MicroBatch* batch) {
+  RestageBatch(batch);
+  // Pin this batch's index generation before any stage runs: every stage
+  // — including singleton recovery re-runs — serves from this epoch,
+  // whatever Ingest/Compact publishes meanwhile.
+  batch->epoch = engine_->PinEpoch();
+  std::vector<std::vector<SearchHit>> results;
+  try {
+    FCM_FAILPOINT("async.dispatch");
+    engine_->EncodeStage(&batch->staged);
+    ShedExpired(batch);
+    if (batch->requests.empty()) return;
+    engine_->CandidateStage(&batch->staged, nullptr, batch->epoch);
+    ShedExpired(batch);
+    if (batch->requests.empty()) return;
+    results =
+        engine_->ScoreStage(batch->staged, nullptr, nullptr, batch->epoch);
+  } catch (...) {
+    RecoverBatch(batch);
+    return;
   }
-  candidates_to_score_->Close();
-}
-
-void AsyncSearchService::ScoreLoop() {
-  for (;;) {
-    auto batch = candidates_to_score_->Pop();
-    if (batch == nullptr) break;
-    ShedExpired(batch.get());
-    if (batch->requests.empty()) continue;
-    std::vector<std::vector<SearchHit>> results;
-    try {
-      results = engine_->ScoreStage(batch->staged, nullptr, nullptr,
-                                    batch->epoch);
-    } catch (...) {
-      RecoverBatch(batch.get());
-      continue;
-    }
-    // Count before settling: once a future resolves, stats()/Health()
-    // must already reflect that request (tests rely on this ordering).
-    {
-      common::MutexLock lk(&mu_);
-      completed_ += batch->requests.size();
-      for (size_t i = 0; i < batch->requests.size(); ++i) {
-        NoteOutcomeLocked(/*ok=*/true);
-      }
-    }
+  // Count before settling: once a future resolves, stats()/Health() must
+  // already reflect that request (tests rely on this ordering).
+  {
+    common::MutexLock lk(&mu_);
+    completed_ += batch->requests.size();
     for (size_t i = 0; i < batch->requests.size(); ++i) {
-      batch->requests[i].promise.set_value(std::move(results[i]));
+      NoteOutcomeLocked(/*ok=*/true);
     }
+  }
+  for (size_t i = 0; i < batch->requests.size(); ++i) {
+    batch->requests[i].promise.set_value(std::move(results[i]));
   }
 }
 
@@ -412,7 +320,7 @@ void AsyncSearchService::ShedExpired(MicroBatch* batch) {
     deadline_expired_ += expired.size();
   }
   for (auto& promise : expired) {
-    promise.set_exception(DeadlineError("between pipeline stages"));
+    promise.set_exception(DeadlineError("between stages"));
   }
 }
 
@@ -449,12 +357,11 @@ void AsyncSearchService::RecoverBatch(MicroBatch* batch) {
     staged[0].tag = request.id;
     // Re-run on the batch's pinned epoch so recovery cannot observe a
     // different index generation than the batch it recovers.
-    const EpochPin pin =
-        batch->epoch != nullptr ? batch->epoch : engine_->PinEpoch();
     try {
       engine_->EncodeStage(&staged);
-      engine_->CandidateStage(&staged, nullptr, pin);
-      auto results = engine_->ScoreStage(staged, nullptr, nullptr, pin);
+      engine_->CandidateStage(&staged, nullptr, batch->epoch);
+      auto results =
+          engine_->ScoreStage(staged, nullptr, nullptr, batch->epoch);
       {
         common::MutexLock lk(&mu_);
         ++completed_;
@@ -544,8 +451,6 @@ void AsyncSearchService::Shutdown(bool drain) {
   cv_space_.NotifyAll();
   if (!joined_) {
     dispatch_thread_.join();
-    candidate_thread_.join();
-    score_thread_.join();
     joined_ = true;
   }
 }

@@ -1,25 +1,22 @@
 // Futures-based async serving front-end for SearchEngine (the ROADMAP's
 // async-serving item): Submit() enqueues a request into a bounded queue
 // with configurable backpressure and immediately returns a
-// std::future<std::vector<SearchHit>>. A dispatcher takes whatever is
-// queued, up to a size cap, as one micro-batch and runs the engine's three
-// serving stages — chart encoding, LSH candidate generation, candidate
-// scoring + ranking — as overlapping pipeline stages on dedicated
-// threads, each fanning its heavy work out on the engine's shared
-// ThreadPool. Encoding of micro-batch N+1 therefore runs while
-// micro-batch N is still scoring, which is what turns the synchronous
-// batch API into a latency-bounded service.
+// std::future<std::vector<SearchHit>>. One dispatcher thread takes
+// whatever is queued, up to a size cap, as one micro-batch and serves it
+// to completion — chart encoding, LSH candidate generation, candidate
+// scoring + ranking — fanning each stage's heavy work out on the engine's
+// shared ThreadPool before it takes the next batch.
 //
 // Determinism contract: every request's ranking is bit-identical to
 // SearchEngine::Search(query, k, strategy) regardless of how requests were
 // coalesced — all paths run the same per-request stage code. Shutdown
 // either drains (every accepted request is served) or cancels (requests
-// not yet dispatched fail with ShutdownError; micro-batches already in the
-// pipeline still complete), deterministically in both modes.
+// not yet dispatched fail with ShutdownError; the micro-batch being
+// served still completes), deterministically in both modes.
 //
 // Live ingestion: a service constructed over a mutable engine also
 // forwards Ingest / Compact to it, so tables can be appended and segments
-// merged while the pipeline serves traffic. Each micro-batch pins one
+// merged while the service handles traffic. Each micro-batch pins one
 // engine epoch at dispatch and runs all three stages against that pin, so
 // every request observes a single consistent index generation — its
 // ranking equals Search against *some* epoch current between its admission
@@ -29,7 +26,7 @@
 // view; fault schedules that prove them live in common/failpoint.h):
 //  - Per-request deadlines: Submit takes an optional absolute deadline.
 //    Expired requests are shed with DeadlineExceededError before wasting
-//    pipeline work — at admission, at dispatch, and between stages.
+//    stage work — at admission, at dispatch, and between stages.
 //  - Blast-radius isolation: when an engine stage throws on a coalesced
 //    micro-batch, the batch's requests are re-run individually (retry
 //    once, bisected to singletons), so only a genuinely poisoned request
@@ -47,7 +44,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -74,7 +70,7 @@ struct AsyncServiceOptions {
   size_t queue_capacity = 256;
   BackpressureMode backpressure = BackpressureMode::kBlock;
   /// Micro-batch size cap: the dispatcher never coalesces more requests
-  /// than this into one pipeline pass.
+  /// than this into one batch.
   size_t max_batch_size = 16;
   /// How long the dispatcher waits for more requests after the first one
   /// of a forming micro-batch arrives. 0 (the default) ships what is
@@ -113,7 +109,7 @@ struct ShutdownError : std::runtime_error {
 };
 
 /// Thrown (through the future) when a request's deadline expired before
-/// the pipeline finished (or started) serving it.
+/// the service finished (or started) serving it.
 struct DeadlineExceededError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -139,7 +135,7 @@ struct AsyncServiceStats {
   uint64_t retried = 0;
   /// Refused at Submit by the open circuit breaker (degraded mode).
   uint64_t fast_rejected = 0;
-  uint64_t batches = 0;     ///< Micro-batches dispatched into the pipeline.
+  uint64_t batches = 0;     ///< Micro-batches dispatched.
   size_t max_coalesced = 0; ///< Largest micro-batch dispatched.
   // Writer-side counters (zero on a service without a mutable engine).
   // These count Ingest/Compact calls, not requests — they are outside the
@@ -189,7 +185,7 @@ class AsyncSearchService {
   explicit AsyncSearchService(const SearchEngine* engine,
                               const AsyncServiceOptions& options = {});
 
-  /// Mutable-engine constructor: same serving pipeline, plus Ingest /
+  /// Mutable-engine constructor: same serving path, plus Ingest /
   /// Compact forward to the engine so the index can grow under traffic.
   explicit AsyncSearchService(SearchEngine* engine,
                               const AsyncServiceOptions& options = {});
@@ -206,20 +202,14 @@ class AsyncSearchService {
   /// After Shutdown the future always fails with RejectedError; while the
   /// breaker is open it fails with DegradedError. A request whose
   /// deadline expires before its ranking is computed fails with
-  /// DeadlineExceededError instead of occupying the pipeline.
+  /// DeadlineExceededError instead of occupying the dispatcher.
   std::future<std::vector<SearchHit>> Submit(vision::ExtractedChart query,
                                              int k, IndexStrategy strategy,
                                              Deadline deadline = kNoDeadline);
 
-  /// Enqueues a batch; one future per query, same semantics as Submit
-  /// (requests may still be coalesced with other submitters' work).
-  std::vector<std::future<std::vector<SearchHit>>> SubmitBatch(
-      std::vector<vision::ExtractedChart> queries, int k,
-      IndexStrategy strategy, Deadline deadline = kNoDeadline);
-
   /// Appends `tables` to the served index (SearchEngine::IngestBatch)
-  /// while the pipeline keeps serving: in-flight micro-batches finish on
-  /// their pinned epochs, batches dispatched after the publish see the new
+  /// while the service keeps serving: an in-flight micro-batch finishes on
+  /// its pinned epoch, batches dispatched after the publish see the new
   /// tables. Requires the mutable-engine constructor (FailedPrecondition
   /// otherwise). Safe to call concurrently with Submit and Compact.
   common::Status Ingest(std::vector<table::Table> tables,
@@ -230,10 +220,10 @@ class AsyncSearchService {
   /// constructor.
   common::Status Compact(CompactStats* stats = nullptr);
 
-  /// Stops accepting requests and joins the pipeline. drain=true serves
+  /// Stops accepting requests and joins the dispatcher. drain=true serves
   /// every accepted request first; drain=false fails queued-but-undispatched
-  /// requests with ShutdownError (micro-batches already in the pipeline
-  /// still complete). Idempotent; the first call's mode wins.
+  /// requests with ShutdownError (the micro-batch being served still
+  /// completes). Idempotent; the first call's mode wins.
   void Shutdown(bool drain = true);
 
   AsyncServiceStats stats() const;
@@ -245,14 +235,12 @@ class AsyncSearchService {
   struct Request;
   struct MicroBatch;
 
-  /// Bounded single-producer/single-consumer hand-off between adjacent
-  /// pipeline stages. Push blocks while the stage ahead is `depth` batches
-  /// behind, so admission control propagates back to the request queue.
-  class StageChannel;
+  /// The dispatcher thread: forms micro-batches and serves each one.
+  void DispatchLoop();
 
-  void DispatchLoop();   // Form micro-batches + stage 1 (encode).
-  void CandidateLoop();  // Stage 2 (LSH probes + merge).
-  void ScoreLoop();      // Stage 3 (score + rank) and fulfillment.
+  /// Runs `batch` to completion: pin the epoch, encode, shed, generate
+  /// candidates, shed, score + rank, then settle every future.
+  void ServeBatch(MicroBatch* batch);
 
   /// (Re)points every staged[i].query at requests[i] — required after any
   /// operation that moved the Request objects (batch compaction).
@@ -260,7 +248,7 @@ class AsyncSearchService {
 
   /// Fails every already-expired request of `batch` with
   /// DeadlineExceededError, compacting the batch in place — called
-  /// between pipeline stages so expired work never occupies a stage.
+  /// between stages so expired work never occupies a stage.
   void ShedExpired(MicroBatch* batch);
 
   /// Engine-stage failure on `batch`: every request is re-run one at a
@@ -286,8 +274,8 @@ class AsyncSearchService {
   const SearchEngine* engine_;
   /// Non-null only for the mutable-engine constructor (same object as
   /// engine_); gates Ingest / Compact. Set during construction and
-  /// immutable afterwards — never read by the pipeline threads — so it
-  /// needs no lock.
+  /// immutable afterwards — never read by the dispatcher — so it needs no
+  /// lock.
   SearchEngine* mutable_engine_ = nullptr;
   AsyncServiceOptions options_;
 
@@ -327,11 +315,7 @@ class AsyncSearchService {
   std::chrono::steady_clock::time_point breaker_opened_at_
       FCM_GUARDED_BY(mu_){};
 
-  std::unique_ptr<StageChannel> encode_to_candidates_;
-  std::unique_ptr<StageChannel> candidates_to_score_;
   std::thread dispatch_thread_;
-  std::thread candidate_thread_;
-  std::thread score_thread_;
 
   common::Mutex shutdown_mu_;  // Serializes Shutdown callers / the dtor.
   bool joined_ FCM_GUARDED_BY(shutdown_mu_) = false;

@@ -497,28 +497,31 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
     BlockCursor rep_cursor{rep.value(), 0, "enc.rep.f32"};
     BlockCursor desc_cursor{desc.value(), 0, "enc.desc.f32"};
     BlockCursor da_cursor{da.value(), 0, "enc.da.f32"};
-    segment->entries.reserve(num_tables.value());
-    segment->mean_begin.reserve(num_tables.value());
+    // Counts come from the file, so nothing is sized by them up front:
+    // records are appended as they are read, and every record consumes
+    // enc.index bytes, so a lying count fails at the first short read.
+    const auto read_columns =
+        [&](uint64_t n, core::DatasetRepresentation* out) -> common::Status {
+      for (uint64_t c = 0; c < n; ++c) {
+        out->emplace_back();
+        FCM_RETURN_IF_ERROR(ReadColumn(&idx, &rep_cursor, &desc_cursor,
+                                       &da_cursor, &out->back()));
+      }
+      return common::Status::OK();
+    };
     for (uint64_t t = 0; t < num_tables.value(); ++t) {
       auto entry = std::make_shared<TableEntry>();
       auto num_columns = idx.ReadU64();
       if (!num_columns.ok()) return num_columns.status();
-      entry->encoding.resize(num_columns.value());
-      for (auto& enc : entry->encoding) {
-        FCM_RETURN_IF_ERROR(
-            ReadColumn(&idx, &rep_cursor, &desc_cursor, &da_cursor, &enc));
-      }
+      FCM_RETURN_IF_ERROR(read_columns(num_columns.value(), &entry->encoding));
       auto num_derivations = idx.ReadU64();
       if (!num_derivations.ok()) return num_derivations.status();
-      entry->derivations.resize(num_derivations.value());
-      for (auto& derived : entry->derivations) {
+      for (uint64_t d = 0; d < num_derivations.value(); ++d) {
         auto n = idx.ReadU64();
         if (!n.ok()) return n.status();
-        derived.resize(n.value());
-        for (auto& enc : derived) {
-          FCM_RETURN_IF_ERROR(
-              ReadColumn(&idx, &rep_cursor, &desc_cursor, &da_cursor, &enc));
-        }
+        entry->derivations.emplace_back();
+        FCM_RETURN_IF_ERROR(
+            read_columns(n.value(), &entry->derivations.back()));
       }
       auto mean_begin = idx.ReadU64();
       auto num_means = idx.ReadU64();

@@ -1,9 +1,8 @@
 // Writer side of the live-ingestion subsystem: IngestBatch / Compact
 // (members of SearchEngine, kept out of search_engine.cc so the serving
-// path stays a pure-reader translation unit) plus the background
-// Compactor thread.
+// path stays a pure-reader translation unit).
 
-#include "index/ingest.h"
+#include "index/search_engine.h"
 
 #include <chrono>
 #include <cstring>
@@ -153,74 +152,6 @@ common::Status SearchEngine::Compact(CompactStats* stats) {
                  << local.seconds << "s)";
   if (stats != nullptr) *stats = local;
   return common::Status::OK();
-}
-
-Compactor::Compactor(SearchEngine* engine, const CompactorOptions& options)
-    : engine_(engine), options_(options) {}
-
-Compactor::~Compactor() { Stop(); }
-
-void Compactor::Start() {
-  common::MutexLock lock(&mu_);
-  if (running_) return;
-  running_ = true;
-  stop_ = false;
-  notified_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Compactor::Stop() {
-  {
-    common::MutexLock lock(&mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  thread_.join();
-  common::MutexLock lock(&mu_);
-  running_ = false;
-}
-
-void Compactor::Notify() {
-  {
-    common::MutexLock lock(&mu_);
-    notified_ = true;
-  }
-  cv_.NotifyOne();
-}
-
-Compactor::Stats Compactor::stats() const {
-  common::MutexLock lock(&mu_);
-  return stats_;
-}
-
-void Compactor::Loop() {
-  for (;;) {
-    {
-      common::MutexLock lock(&mu_);
-      // Poll-or-notify: a missed Notify costs at most one poll interval.
-      cv_.WaitUntil(&mu_,
-                    std::chrono::steady_clock::now() + options_.poll_interval,
-                    [this]() FCM_REQUIRES(mu_) { return stop_ || notified_; });
-      if (stop_) return;
-      notified_ = false;
-    }
-    if (engine_->num_delta_segments() < options_.max_delta_segments) {
-      continue;
-    }
-    CompactStats cs;
-    const common::Status status = engine_->Compact(&cs);
-    common::MutexLock lock(&mu_);
-    if (!status.ok()) {
-      // Failed compactions (e.g. an armed engine.compact failpoint) leave
-      // the current epoch serving; the next wakeup retries.
-      ++stats_.errors;
-    } else if (cs.segments_merged > 1) {
-      ++stats_.compactions;
-    } else {
-      ++stats_.noops;
-    }
-  }
 }
 
 }  // namespace fcm::index

@@ -299,18 +299,18 @@ class SearchEngine {
       IndexStrategy strategy, std::vector<QueryStats>* stats = nullptr,
       const EpochPin& epoch = nullptr) const;
 
-  // ---- Serving-pipeline stages ----
+  // ---- Serving stages ----
   // Search and SearchBatch are thin compositions of the three stages
-  // below, and AsyncSearchService runs them as overlapping pipeline
-  // stages on micro-batches of queued requests. Because every path goes
-  // through the same stage code with per-request strategy and k, a
-  // request's ranking is bit-identical however requests are grouped into
-  // stage calls. Stages are const and safe to call concurrently from
-  // several threads (the shared pool accepts concurrent owners). The
-  // index-consulting stages take an optional pinned epoch; a caller
-  // serving one request across several stage calls (the async pipeline)
-  // passes the same pin to each so the request sees one consistent index
-  // generation end to end.
+  // below, and AsyncSearchService's dispatcher runs them back to back on
+  // micro-batches of queued requests. Because every path goes through the
+  // same stage code with per-request strategy and k, a request's ranking
+  // is bit-identical however requests are grouped into stage calls.
+  // Stages are const and safe to call concurrently from several threads
+  // (the shared pool accepts concurrent owners). The index-consulting
+  // stages take an optional pinned epoch; a caller serving one request
+  // across several stage calls (the async service) passes the same pin
+  // to each so the request sees one consistent index generation end to
+  // end.
 
   /// Wall seconds one batch spent inside each serving stage, filled for
   /// callers that pass one to a stage to attribute latency to it. Purely

@@ -3,8 +3,9 @@
 // backpressure semantics (bounded queue, block vs reject), deterministic
 // shutdown (drain and cancel), fault tolerance (blast-radius isolation,
 // per-request deadlines, the circuit breaker — driven by failpoints), and
-// many-submitter stress — the latter is the TSan target for concurrent
-// stage dispatch onto the shared pool (build with -DFCM_SANITIZE=thread).
+// many-submitter stress — the latter is the TSan target for the submitters,
+// the dispatcher and the pool workers racing on the shared queue and pool
+// (build with -DFCM_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
@@ -83,7 +84,7 @@ class AsyncSearchServiceTest : public ::testing::Test {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].table_id, b[i].table_id) << "rank " << i;
-      // Bit-identical, not approximately equal: the async pipeline runs
+      // Bit-identical, not approximately equal: the async service runs
       // the same stage code as Search, so scores must match exactly.
       EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
     }
@@ -144,8 +145,13 @@ TEST_F(AsyncSearchServiceTest, MatchesSearchAcrossCoalescingPatterns) {
 }
 
 TEST_F(AsyncSearchServiceTest, SubmitBatchMatchesSearchBatch) {
+  // A burst of Submits, coalesced however the dispatcher chooses, ranks
+  // exactly like one SearchBatch over the same queries.
   AsyncSearchService service(engine_.get());
-  auto futures = service.SubmitBatch(queries_, 3, IndexStrategy::kHybrid);
+  std::vector<std::future<std::vector<SearchHit>>> futures;
+  for (const auto& query : queries_) {
+    futures.push_back(service.Submit(query, 3, IndexStrategy::kHybrid));
+  }
   const auto expected =
       engine_->SearchBatch(queries_, 3, IndexStrategy::kHybrid);
   ASSERT_EQ(futures.size(), expected.size());
@@ -416,7 +422,7 @@ TEST_F(AsyncSearchServiceTest, DeadlinesShedExpiredRequests) {
 }
 
 TEST_F(AsyncSearchServiceTest, DeadlineExpiresWhileBlockedOnFullQueue) {
-  // kBlock + a slow pipeline: a deadlined Submit must not block past its
+  // kBlock + a slow dispatcher: a deadlined Submit must not block past its
   // deadline. Whether it times out in the admission wait or is admitted
   // and shed later, it fails with DeadlineExceededError and the books
   // stay balanced.
@@ -585,9 +591,9 @@ TEST_F(AsyncSearchServiceTest, SubmittersRacingCancelShutdownSettleExactlyOnce) 
 
 TEST_F(AsyncSearchServiceTest, ManySubmittersStress) {
   // Several submitter threads against one service, mixed strategies, with
-  // the pipeline stages dispatching onto the engine pool concurrently the
-  // whole time. Under FCM_SANITIZE=thread this is the regression test for
-  // the multi-owner ThreadPool contract.
+  // the dispatcher fanning every stage onto the engine pool the whole
+  // time. Under FCM_SANITIZE=thread this is the regression test for the
+  // queue hand-off and the pool's batch scheduling.
   AsyncServiceOptions options;
   options.queue_capacity = 16;
   options.max_batch_size = 4;

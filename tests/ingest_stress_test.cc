@@ -8,9 +8,9 @@
 //     precomputed ranking for that pin's table count, bit for bit;
 //   - async requests: a future's ranking must equal the precomputed
 //     ranking of SOME generation current between submit and completion
-//     (the pipeline pins one epoch per micro-batch);
-//   - compaction (background Compactor + explicit service.Compact calls
-//     racing it) must never surface in any result;
+//     (the dispatcher pins one epoch per micro-batch);
+//   - compaction (a compactor thread merging at two deltas, raced by
+//     explicit service.Compact calls) must never surface in any result;
 //   - accounting: every future resolves and the drained service balances.
 // Delay failpoints on the writer choke points (engine.ingest_batch,
 // engine.compact) stretch the publish critical sections so interleavings
@@ -38,7 +38,6 @@
 #include "core/fcm_config.h"
 #include "core/fcm_model.h"
 #include "index/async_service.h"
-#include "index/ingest.h"
 #include "index/search_engine.h"
 #include "table/data_lake.h"
 #include "table/data_series.h"
@@ -187,12 +186,6 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
   service_options.max_batch_delay_ms = 0.2;
   idx::AsyncSearchService service(&engine, service_options);
 
-  idx::CompactorOptions compactor_options;
-  compactor_options.max_delta_segments = 2;
-  compactor_options.poll_interval = std::chrono::milliseconds(2);
-  idx::Compactor compactor(&engine, compactor_options);
-  compactor.Start();
-
   // Stretch the writer critical sections so reader/compactor overlap with
   // an in-flight publish is common instead of vanishingly rare. Delay
   // actions never change results — only timing.
@@ -208,7 +201,7 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
   std::atomic<uint64_t> pinned_checks{0};
 
   // Writer: appends every batch through the serving path, racing the
-  // background compactor with explicit compactions of its own.
+  // compactor thread with explicit compactions of its own.
   std::thread writer([&] {
     std::mt19937_64 rng(seed_);
     for (int b = 0; b < kBatches; ++b) {
@@ -216,13 +209,26 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
       const int lo = kBaseTables + b * kBatchSize;
       const auto status = service.Ingest(MakeTables(lo, lo + kBatchSize));
       EXPECT_TRUE(status.ok()) << status.message();
-      compactor.Notify();
       if (b % 2 == 1) {
         const auto compacted = service.Compact();
         EXPECT_TRUE(compacted.ok()) << compacted.message();
       }
     }
     writer_done.store(true, std::memory_order_release);
+  });
+
+  // Compaction thread: merges whenever two delta segments pile up, until
+  // the writer finishes, so compaction races ingest, pinned reads and
+  // async requests.
+  std::thread compactor([&] {
+    while (!writer_done.load(std::memory_order_acquire)) {
+      if (engine.num_delta_segments() >= 2) {
+        const auto status = engine.Compact();
+        EXPECT_TRUE(status.ok()) << status.message();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
   });
 
   // Pinned readers: whatever generation a pin lands on, the ranking it
@@ -261,7 +267,7 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
   }
 
   // Async submitter: a future must resolve to the ranking of SOME
-  // generation current in [submit, completion] — the pipeline pins one
+  // generation current in [submit, completion] — the dispatcher pins one
   // epoch per micro-batch, but the submitter cannot know which.
   std::thread submitter([&] {
     std::mt19937_64 rng(seed_ ^ 0xda3e39cb94b95bdbULL);
@@ -290,9 +296,9 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
   });
 
   writer.join();
+  compactor.join();
   submitter.join();
   for (auto& reader : readers) reader.join();
-  compactor.Stop();
   failpoint::DisarmAll();
 
   EXPECT_GT(pinned_checks.load(), 0u);
@@ -319,8 +325,6 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
   EXPECT_EQ(stats.ingest_batches, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(stats.ingested_tables,
             static_cast<uint64_t>(kBatches * kBatchSize));
-  const auto compactor_stats = compactor.stats();
-  EXPECT_EQ(compactor_stats.errors, 0u);
 }
 
 }  // namespace

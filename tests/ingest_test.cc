@@ -3,7 +3,7 @@
 // epoch must rank EXPECT_EQ-bit-identically to a from-scratch Build over
 // the same logical tables — across thread counts, all four strategies,
 // both precision modes, the prefilter, Search vs SearchBatch vs the async
-// pipeline — and compaction must change neither a pinned epoch's results
+// service — and compaction must change neither a pinned epoch's results
 // nor the current epoch's. This is the proof of the PR's determinism
 // contract; the concurrent interleavings live in ingest_stress_test.cc.
 
@@ -20,7 +20,6 @@
 #include "core/fcm_config.h"
 #include "core/fcm_model.h"
 #include "index/async_service.h"
-#include "index/ingest.h"
 #include "index/search_engine.h"
 #include "table/data_lake.h"
 #include "table/data_series.h"
@@ -304,7 +303,7 @@ TEST_F(IngestTest, AsyncServiceServesIngestAndCompactUnderCoalescing) {
 
   // Quiesced equivalence at every generation: base, post-ingest,
   // post-compact. (The racing interleavings are ingest_stress_test.cc's
-  // job; here the async pipeline must be exact whenever the epoch under
+  // job; here the async service must be exact whenever the epoch under
   // its feet is fixed.)
   {
     const auto reference = BuildReference(6, Options(2));
@@ -335,36 +334,6 @@ TEST_F(IngestTest, AsyncServiceServesIngestAndCompactUnderCoalescing) {
   EXPECT_FALSE(reader_only.Ingest(MakeTables(0, 1)).ok());
   EXPECT_FALSE(reader_only.Compact(nullptr).ok());
   reader_only.Shutdown();
-}
-
-TEST_F(IngestTest, BackgroundCompactorMergesDeltasUnderThreshold) {
-  table::DataLake lake;
-  for (auto& t : MakeTables(0, 6)) lake.Add(std::move(t));
-  idx::SearchEngine engine(model_.get(), &lake);
-  engine.BuildWithOptions(Options(2));
-
-  idx::CompactorOptions compactor_options;
-  compactor_options.max_delta_segments = 2;
-  compactor_options.poll_interval = std::chrono::milliseconds(5);
-  idx::Compactor compactor(&engine, compactor_options);
-  compactor.Start();
-
-  ASSERT_TRUE(engine.IngestBatch(MakeTables(6, 8)).ok());
-  compactor.Notify();  // Below threshold: must not compact.
-  ASSERT_TRUE(engine.IngestBatch(MakeTables(8, 10)).ok());
-  compactor.Notify();  // At threshold: must compact.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (engine.num_delta_segments() != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  compactor.Stop();
-  EXPECT_EQ(engine.num_delta_segments(), 0u);
-  EXPECT_GE(compactor.stats().compactions, 1u);
-
-  const auto reference = BuildReference(10, Options(2));
-  ExpectMatchesReference(engine, nullptr, *reference.engine);
 }
 
 }  // namespace

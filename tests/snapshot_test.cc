@@ -11,9 +11,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chart/renderer.h"
@@ -135,6 +137,36 @@ TEST_F(EngineSnapshotTest, Version2MetaFailsOpenNamingIt) {
     EXPECT_NE(opened.status().ToString().find("meta version 2"),
               std::string::npos)
         << opened.status().ToString();
+  }
+}
+
+TEST_F(EngineSnapshotTest, HugeRecordCountsFailOpenWithStatus) {
+  // Re-save the snapshot with one record count rewritten to 2^40: the meta
+  // stream's table count (bytes 4-11, right after the version) and table
+  // 0's column count (the first u64 of enc.index). Both files are
+  // checksum-valid, so only the reader's handling of the count stands
+  // between them and a 2^40-entry allocation.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  const std::pair<std::string, size_t> fields[] = {{"meta", 4},
+                                                   {"enc.index", 0}};
+  for (const auto& [section, offset] : fields) {
+    auto reader = storage::SnapshotReader::Open(path_);
+    ASSERT_TRUE(reader.ok());
+    storage::SnapshotWriter writer;
+    for (const auto& name : reader.value()->section_names()) {
+      std::vector<uint8_t> data =
+          reader.value()->Section(name).value().ToVector();
+      if (name == section) {
+        ASSERT_GE(data.size(), offset + sizeof(kHuge));
+        std::memcpy(data.data() + offset, &kHuge, sizeof(kHuge));
+      }
+      writer.AddSection(name, data.data(), data.size());
+    }
+    const std::string huge_path = TempPath("huge_count.fcmsnap");
+    ASSERT_TRUE(writer.WriteToFile(huge_path).ok());
+    auto opened = SearchEngine::OpenSnapshot(huge_path);
+    std::remove(huge_path.c_str());
+    EXPECT_FALSE(opened.ok()) << section << " count accepted";
   }
 }
 

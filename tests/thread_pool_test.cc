@@ -1,9 +1,9 @@
-// Tests for common::ThreadPool: deterministic result ordering, exception
-// propagation, pool reuse, degenerate sizes, and the multi-owner contract
-// (concurrent ParallelFor from several threads and re-entrant calls from
-// inside a worker) that the async serving pipeline relies on. The
-// concurrency tests are the TSan regression targets — build with
-// -DFCM_SANITIZE=thread.
+// Tests for common::ThreadPool: every index runs exactly once under guided
+// chunk claims, exception propagation, pool reuse, degenerate sizes, and
+// the multi-owner contract (concurrent ParallelFor from several threads —
+// the async dispatcher, ingest writers and Search callers share one pool —
+// and re-entrant calls from inside a worker). The concurrency tests are
+// the TSan regression targets — build with -DFCM_SANITIZE=thread.
 
 #include <gtest/gtest.h>
 
@@ -20,38 +20,38 @@ namespace fcm::common {
 namespace {
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  const size_t n = 10000;
-  std::vector<std::atomic<int>> counts(n);
-  pool.ParallelFor(n, [&](size_t i) { counts[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelMapKeepsIndexOrder) {
-  ThreadPool pool(4);
-  const size_t n = 5000;
-  const auto out =
-      pool.ParallelMap<int>(n, [](size_t i) { return static_cast<int>(i) * 3; });
-  ASSERT_EQ(out.size(), n);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(out[i], static_cast<int>(i) * 3);
+  // Awkward sizes around the claim divisor (2 x pool size): tails below it
+  // drain in single-index claims, and every index must still run once.
+  for (const int threads : {2, 3, 4, 8}) {
+    ThreadPool pool(threads);
+    for (const size_t n : {2, 3, 7, 8, 9, 31, 1000, 10007}) {
+      std::vector<std::atomic<int>> counts(n);
+      pool.ParallelFor(n, [&](size_t i) { counts[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(counts[i].load(), 1)
+            << "index " << i << " of " << n << ", " << threads << " threads";
+      }
+    }
   }
 }
 
 TEST(ThreadPoolTest, MatchesSerialResult) {
+  // Results land at their own index whatever the schedule, so a parallel
+  // run equals the serial one element for element.
   ThreadPool serial(1), parallel(8);
   const size_t n = 2000;
-  auto fn = [](size_t i) {
-    double acc = 0.0;
-    for (size_t j = 0; j < 50; ++j) {
-      acc += static_cast<double>(i * 31 + j) * 1e-3;
-    }
-    return acc;
+  auto run = [n](ThreadPool* pool) {
+    std::vector<double> out(n);
+    pool->ParallelFor(n, [&out](size_t i) {
+      double acc = 0.0;
+      for (size_t j = 0; j < 50; ++j) {
+        acc += static_cast<double>(i * 31 + j) * 1e-3;
+      }
+      out[i] = acc;
+    });
+    return out;
   };
-  EXPECT_EQ(serial.ParallelMap<double>(n, fn),
-            parallel.ParallelMap<double>(n, fn));
+  EXPECT_EQ(run(&serial), run(&parallel));
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
@@ -111,8 +111,9 @@ TEST(ThreadPoolTest, DefaultSizeUsesHardware) {
 
 TEST(ThreadPoolTest, ConcurrentOwnersEachSeeTheirOwnBatch) {
   // Several owner threads drive ParallelFors through one pool at once (the
-  // async pipeline's shape: every stage thread is an owner). Each owner's
-  // results must be exactly its own serial loop's.
+  // serving shape: the async dispatcher, an ingest writer and Search
+  // callers are all owners). Each owner's results must be exactly its own
+  // serial loop's.
   ThreadPool pool(3);
   constexpr int kOwners = 4;
   constexpr size_t kN = 4000;
@@ -120,11 +121,12 @@ TEST(ThreadPoolTest, ConcurrentOwnersEachSeeTheirOwnBatch) {
   std::vector<std::thread> owners;
   for (int o = 0; o < kOwners; ++o) {
     owners.emplace_back([&, o]() {
+      auto& out = results[static_cast<size_t>(o)];
+      out.resize(kN);
       for (int round = 0; round < 5; ++round) {
-        results[static_cast<size_t>(o)] = pool.ParallelMap<int>(
-            kN, [o, round](size_t i) {
-              return static_cast<int>(i) * (o + 1) + round;
-            });
+        pool.ParallelFor(kN, [&out, o, round](size_t i) {
+          out[i] = static_cast<int>(i) * (o + 1) + round;
+        });
       }
     });
   }
@@ -220,8 +222,10 @@ TEST(ThreadPoolTest, ConcurrentOwnersSurviveInjectedTaskFaults) {
     owners.emplace_back([&, o]() {
       for (int round = 0; round < 10; ++round) {
         try {
-          const auto out = pool.ParallelMap<int>(
-              512, [o](size_t i) { return static_cast<int>(i) * (o + 1); });
+          std::vector<int> out(512);
+          pool.ParallelFor(out.size(), [&out, o](size_t i) {
+            out[i] = static_cast<int>(i) * (o + 1);
+          });
           for (size_t i = 0; i < out.size(); ++i) {
             if (out[i] != static_cast<int>(i) * (o + 1)) {
               corrupt.fetch_add(1);

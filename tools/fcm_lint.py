@@ -31,10 +31,17 @@ Rules (all scoped to src/):
                    on the same or preceding line.
   epoch-pin        No raw `EngineEpoch*`/`EngineEpoch&` in src/index
                    outside the engine internals (search_engine.{h,cc},
-                   ingest.{h,cc}, engine_snapshot.cc, index_segment.h):
+                   ingest.cc, engine_snapshot.cc, index_segment.h):
                    a raw epoch pointer can outlive the EpochPin that
                    keeps its segments alive — hold the pin (a
                    shared_ptr) for the duration of the request instead.
+  thread-owner     No std::thread/std::jthread/std::async outside
+                   src/common/thread_pool.{h,cc} and
+                   src/index/async_service.{h,cc}: the pool's workers and
+                   the service's dispatcher are the only threads the
+                   library spawns; other parallel work goes through
+                   ParallelFor. std::thread::hardware_concurrency is
+                   fine.
 
 Suppression: `// fcm-lint: disable=<rule>[,<rule>]` on the offending line
 or the line directly above. `// fcm-lint: <free text>` is the cast
@@ -66,6 +73,8 @@ RULES = {
                     "justification",
     "epoch-pin": "raw EngineEpoch pointer/reference outside the engine "
                  "internals (hold an EpochPin for the request instead)",
+    "thread-owner": "thread spawned outside the pool and the async "
+                    "dispatcher (use ThreadPool::ParallelFor)",
 }
 
 RANKING_DIRS = ("src/index/", "src/relevance/")
@@ -77,8 +86,14 @@ CAST_EXEMPT_GLOBS = ("src/common/simd",)  # simd.h, simd.cc, simd_avx2.cc...
 # only files allowed to touch EngineEpoch outside a pin.
 EPOCH_PIN_EXEMPT = (
     "src/index/search_engine.h", "src/index/search_engine.cc",
-    "src/index/ingest.h", "src/index/ingest.cc",
-    "src/index/engine_snapshot.cc", "src/index/index_segment.h",
+    "src/index/ingest.cc", "src/index/engine_snapshot.cc",
+    "src/index/index_segment.h",
+)
+# The only files allowed to spawn threads: the pool's workers and the
+# async service's dispatcher.
+THREAD_OWNERS = (
+    "src/common/thread_pool.h", "src/common/thread_pool.cc",
+    "src/index/async_service.h", "src/index/async_service.cc",
 )
 
 SUPPRESS_RE = re.compile(r"//\s*fcm-lint:\s*disable=([\w,-]+)")
@@ -96,6 +111,9 @@ NAKED_MUTEX_RE = re.compile(
     r"condition_variable(?:_any)?|lock_guard|unique_lock|shared_lock|"
     r"scoped_lock)\b")
 EPOCH_PIN_RE = re.compile(r"\bEngineEpoch\b\s*(?:const\b\s*)?[*&]")
+# std::thread::hardware_concurrency (any std::thread:: member) spawns
+# nothing, hence the `::` lookahead.
+THREAD_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b(?!\s*::)")
 SORT_CALL_RE = re.compile(
     r"\b(?:sort|stable_sort|partial_sort|nth_element|max_element|"
     r"min_element)\s*\(")
@@ -158,6 +176,7 @@ class FileLinter:
             self.check_wall_clock()
             self.check_naked_mutex()
             self.check_cast_justify()
+            self.check_thread_owner()
         if self.in_ranking_dir():
             self.check_unordered_iter()
             self.check_float_order()
@@ -202,6 +221,19 @@ class FileLinter:
                              "reinterpret_cast needs a `// fcm-lint: "
                              "<why this aliasing is sound>` comment here "
                              "or on the line above")
+
+    # ---- thread-owner ----
+    def check_thread_owner(self):
+        if self.rel in THREAD_OWNERS:
+            return
+        for i, raw in enumerate(self.lines, 1):
+            m = THREAD_RE.search(strip_comment(raw))
+            if m:
+                self.add(i, "thread-owner",
+                         f"`{m.group(0)}` outside the thread pool and the "
+                         "async dispatcher — fan work out with "
+                         "ThreadPool::ParallelFor instead of spawning a "
+                         "thread")
 
     # ---- epoch-pin ----
     def check_epoch_pin(self):
@@ -324,6 +356,7 @@ FIXTURE_PATHS = {
     "cast_justify.cc": "src/common/fixture.cc",
     "exempt_paths.cc": "src/storage/fixture.cc",
     "epoch_pin.cc": "src/index/fixture.cc",
+    "thread_owner.cc": "src/index/fixture.cc",
 }
 
 
